@@ -8,10 +8,13 @@
 //   * syscall latency in a group member whose sync bits are clean;
 //   * syscall latency when every call finds a dirty bit (the slow path the
 //     fast test avoids);
-//   * fork()+wait() latency with zero groups in the system.
+//   * fork()+wait() latency with zero groups in the system;
+//   * one kernel stat-counter increment from 1 to 8 threads at once (every
+//     syscall entry and TLB refill pays one).
 #include <chrono>
 
 #include "bench/bench_util.h"
+#include "obs/stats.h"
 
 namespace sg {
 namespace {
@@ -97,6 +100,18 @@ void BM_ForkWaitNoGroups(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ForkWaitNoGroups)->UseManualTime()->Unit(benchmark::kMicrosecond);
+
+// All threads bump one registry counter, as every CPU does with
+// "sys.entries" and "tlb.misses".
+void BM_ObsCounterInc(benchmark::State& state) {
+  static obs::Counter& c = obs::Stats::Global().counter("bench.counter_inc");
+  for (auto _ : state) {
+    c.Inc();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_ObsCounterInc)->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
 
 }  // namespace
 }  // namespace sg

@@ -84,6 +84,28 @@ void BM_AtomicMemoryOp(benchmark::State& state) {
 
 BENCHMARK(BM_AtomicMemoryOp);
 
+// One plain simulated load of a resident page: the TLB hit path every user
+// access takes (§6.2). The page is faulted in before the clock starts, so
+// each iteration is a translate-and-access under the TLB lock.
+void BM_TlbHitLoad(benchmark::State& state) {
+  Kernel k;
+  u64 hits = 0;
+  RunSim(k, [&](Env& env) {
+    const vaddr_t word = env.Mmap(kPageSize);
+    env.Store32(word, 1);
+    const u64 hits0 = env.proc().as.tlb().hits();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(env.Load32(word));
+    }
+    hits = env.proc().as.tlb().hits() - hits0;
+  });
+  state.SetItemsProcessed(state.iterations());
+  state.counters["tlb_hits_per_load"] =
+      static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+
+BENCHMARK(BM_TlbHitLoad)->UseRealTime();
+
 // ---- ping-pong round trips between two tasks ----
 //
 // Caveat recorded in EXPERIMENTS.md: on a single-core HOST, a busy-wait

@@ -117,12 +117,14 @@ void Kernel::SyscallEnter(Proc& p) {
   // signal arrives — it is delivered right below, like for any entry).
   if (p.suspended.load(std::memory_order_acquire)) {
     bool slept = false;
+    p.parked.store(true, std::memory_order_release);
     {
       std::unique_lock<std::mutex> l(p.wait_mu);
       Status st = BlockOn(p.wait_cv, l, SleepMode::kInterruptible, &slept,
                           [&] { return !p.suspended.load(std::memory_order_acquire); });
       (void)st;
     }
+    p.parked.store(false, std::memory_order_release);
     FinishSleep(slept);
   }
   DeliverPendingSignals(p);

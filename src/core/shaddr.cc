@@ -56,8 +56,7 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
     space_.AddMemberTlb(&creator.as.tlb());
   }
   creator.as.set_shared(&space_);
-  // Per-group lock stats: /proc/stat grows sharedlock.group<id>.* lines and
-  // /proc/share/<id> reports this lock, not just the process-wide aggregate.
+  // /proc/share/<id> reports this lock's own numbers under this name.
   space_.lock().SetName("group" + std::to_string(id_));
 
   // Seed the master resource copies, bumping the block's own references.

@@ -7,6 +7,13 @@ namespace sg {
 
 namespace {
 constexpr bool IsPowerOfTwo(u32 v) { return v != 0 && (v & (v - 1)) == 0; }
+
+// Publishes a finished flush operation that killed `killed` entries to the
+// kernel-wide counters. Called after the TLB lock is dropped.
+void RecordFlush(u64 killed) {
+  SG_OBS_INC("tlb.flushes");
+  SG_OBS_ADD("tlb.flushed_entries", killed);
+}
 }  // namespace
 
 Tlb::Tlb(u32 entries) : nentries_(entries) {
@@ -15,21 +22,24 @@ Tlb::Tlb(u32 entries) : nentries_(entries) {
 }
 
 TlbProbe Tlb::Probe(u64 vpn, bool want_write) {
-  SpinGuard g(lock_);
-  Entry& e = entries_[SlotFor(vpn)];
-  if (!Live(e) || e.vpn != vpn) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("tlb.misses");
-    return TlbProbe{TlbProbe::Kind::kMiss, 0};
+  TlbProbe out;
+  {
+    SpinGuard g(lock_);
+    const Entry& e = entries_[SlotFor(vpn)];
+    if (Live(e) && e.vpn == vpn) {
+      out.pfn = e.pfn;
+      // A write to a read-only entry is counted as a miss for stats
+      // purposes: it enters the fault path.
+      out.kind = want_write && !e.writable ? TlbProbe::Kind::kWriteProt : TlbProbe::Kind::kHit;
+    }
+    if (out.kind == TlbProbe::Kind::kHit) {
+      ++hits_;
+      return out;
+    }
+    ++misses_;
   }
-  if (want_write && !e.writable) {
-    // Counted as a miss for stats purposes: it enters the fault path.
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("tlb.misses");
-    return TlbProbe{TlbProbe::Kind::kWriteProt, e.pfn};
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return TlbProbe{TlbProbe::Kind::kHit, e.pfn};
+  SG_OBS_INC("tlb.misses");
+  return out;
 }
 
 void Tlb::Insert(u64 vpn, pfn_t pfn, bool writable) {
@@ -49,8 +59,7 @@ void Tlb::Invalidate(Entry& e) {
   e.valid = false;
   SG_DCHECK(live_count_ > 0);
   --live_count_;
-  flushed_entries_.fetch_add(1, std::memory_order_relaxed);
-  SG_OBS_INC("tlb.flushed_entries");
+  ++flushed_entries_;
 }
 
 void Tlb::FlushAll() {
@@ -58,34 +67,45 @@ void Tlb::FlushAll() {
   // now dead. Taking the spinlock (even briefly) means any in-flight
   // WithEntry access completed before this flush returns — the synchronous
   // shootdown guarantee of §6.2 is preserved without the O(entries) scan.
-  SpinGuard g(lock_);
-  ++flush_gen_;
-  flushed_entries_.fetch_add(live_count_, std::memory_order_relaxed);
-  SG_OBS_ADD("tlb.flushed_entries", live_count_);
-  live_count_ = 0;
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  SG_OBS_INC("tlb.flushes");
+  u64 killed = 0;
+  {
+    SpinGuard g(lock_);
+    ++flush_gen_;
+    killed = live_count_;
+    flushed_entries_ += killed;
+    live_count_ = 0;
+    ++flushes_;
+  }
+  RecordFlush(killed);
 }
 
 void Tlb::FlushPage(u64 vpn) {
-  SpinGuard g(lock_);
-  Entry& e = entries_[SlotFor(vpn)];
-  if (Live(e) && e.vpn == vpn) {
-    Invalidate(e);
+  u64 killed = 0;
+  {
+    SpinGuard g(lock_);
+    Entry& e = entries_[SlotFor(vpn)];
+    if (Live(e) && e.vpn == vpn) {
+      Invalidate(e);
+      killed = 1;
+    }
+    ++flushes_;
   }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  SG_OBS_INC("tlb.flushes");
+  RecordFlush(killed);
 }
 
 void Tlb::FlushRange(u64 vpn_begin, u64 vpn_end) {
-  SpinGuard g(lock_);
-  for (Entry& e : entries_) {
-    if (Live(e) && e.vpn >= vpn_begin && e.vpn < vpn_end) {
-      Invalidate(e);
+  u64 killed = 0;
+  {
+    SpinGuard g(lock_);
+    for (Entry& e : entries_) {
+      if (Live(e) && e.vpn >= vpn_begin && e.vpn < vpn_end) {
+        Invalidate(e);
+        ++killed;
+      }
     }
+    ++flushes_;
   }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  SG_OBS_INC("tlb.flushes");
+  RecordFlush(killed);
 }
 
 }  // namespace sg

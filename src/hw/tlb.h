@@ -19,10 +19,15 @@
 // spinlock so an in-flight WithEntry access strictly orders before the
 // flush returns — the same translate-and-access atomicity as before, but a
 // shootdown IPI now costs O(1) per member instead of O(entries).
+//
+// The hit/miss/flush counters are plain integers guarded by the TLB lock:
+// every update already happens with it held, so a hit costs exactly one
+// atomic RMW (the lock acquire). The kernel-wide obs counters
+// (tlb.misses, tlb.flushes, tlb.flushed_entries) are bumped after the lock
+// drops, so a shootdown's FlushAll never waits behind registry traffic.
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
-#include <atomic>
 #include <vector>
 
 #include "base/thread_annotations.h"
@@ -64,16 +69,18 @@ class Tlb {
   // `fn` must be short and must not block.
   template <typename Fn>
   bool WithEntry(u64 vpn, bool want_write, Fn&& fn) {
-    SpinGuard g(lock_);
-    Entry& e = entries_[SlotFor(vpn)];
-    if (!Live(e) || e.vpn != vpn || (want_write && !e.writable)) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      SG_OBS_INC("tlb.misses");
-      return false;
+    {
+      SpinGuard g(lock_);
+      Entry& e = entries_[SlotFor(vpn)];
+      if (Live(e) && e.vpn == vpn && (!want_write || e.writable)) {
+        ++hits_;
+        fn(e.pfn);
+        return true;
+      }
+      ++misses_;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    fn(e.pfn);
-    return true;
+    SG_OBS_INC("tlb.misses");
+    return false;
   }
 
   // Installs (or replaces) the translation for `vpn`.
@@ -85,14 +92,28 @@ class Tlb {
   void FlushPage(u64 vpn);
   void FlushRange(u64 vpn_begin, u64 vpn_end);  // [begin, end)
 
-  u64 hits() const { return hits_.load(std::memory_order_relaxed); }
-  u64 misses() const { return misses_.load(std::memory_order_relaxed); }
+  // Counter reads take the lock; they are for tests and benches, never a
+  // hot path.
+  u64 hits() const {
+    SpinGuard g(lock_);
+    return hits_;
+  }
+  u64 misses() const {
+    SpinGuard g(lock_);
+    return misses_;
+  }
   // Flush *operations* (every FlushAll/FlushPage/FlushRange call) vs
   // entries actually invalidated — a FlushPage of an absent translation
   // performs work-free, and the split keeps /proc/stat's view of shootdown
   // cost honest ("tlb.flushes" / "tlb.flushed_entries").
-  u64 flushes() const { return flushes_.load(std::memory_order_relaxed); }
-  u64 flushed_entries() const { return flushed_entries_.load(std::memory_order_relaxed); }
+  u64 flushes() const {
+    SpinGuard g(lock_);
+    return flushes_;
+  }
+  u64 flushed_entries() const {
+    SpinGuard g(lock_);
+    return flushed_entries_;
+  }
 
  private:
   struct Entry {
@@ -114,8 +135,9 @@ class Tlb {
 
   // sgcheck:allow(guarded-fields): set in the constructor, immutable after
   u32 nentries_;  // power of two; direct-mapped by low vpn bits
-  // Owner thread probes/inserts; shootdowns flush remotely.
-  Spinlock lock_{"tlb"};
+  // Owner thread probes/inserts; shootdowns flush remotely. Mutable so the
+  // const counter accessors can take it.
+  mutable Spinlock lock_{"tlb"};
   std::vector<Entry> entries_ SG_GUARDED_BY(lock_);
 
   // flush_gen_ advances on every FlushAll; live_count_ tracks entries live
@@ -124,10 +146,12 @@ class Tlb {
   u64 flush_gen_ SG_GUARDED_BY(lock_) = 0;
   u32 live_count_ SG_GUARDED_BY(lock_) = 0;
 
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> flushes_{0};
-  std::atomic<u64> flushed_entries_{0};
+  // Only ever written with lock_ held, so plain integers: no atomic RMW
+  // beyond the lock acquire on the translate path.
+  u64 hits_ SG_GUARDED_BY(lock_) = 0;
+  u64 misses_ SG_GUARDED_BY(lock_) = 0;
+  u64 flushes_ SG_GUARDED_BY(lock_) = 0;
+  u64 flushed_entries_ SG_GUARDED_BY(lock_) = 0;
 };
 
 }  // namespace sg

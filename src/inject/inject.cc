@@ -66,6 +66,9 @@ u64 InjectionPlan::Draw(const char* point) {
 }
 
 void InjectionPlan::Perturb(const char* point) {
+  if (cfg_.on_point) {
+    cfg_.on_point(point);
+  }
   const u64 h = Draw(point);
   const u32 u = static_cast<u32>(h % 1000000);
   if (u < cfg_.yield_ppm) {

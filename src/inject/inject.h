@@ -34,6 +34,7 @@
 #define SRC_INJECT_INJECT_H_
 
 #include <atomic>
+#include <functional>
 
 #include "base/types.h"
 #include "obs/stats.h"
@@ -49,6 +50,10 @@ struct PlanConfig {
   u32 delay_ppm = 0;        // spin 0..max_delay_spins compiler barriers
   u32 fault_ppm = 0;        // SG_INJECT_FAULT points report failure
   u32 max_delay_spins = 256;
+  // Called with the point name at every SG_INJECT_POINT hit, before the
+  // plan's own decision. A regression test uses it to park one thread
+  // inside a window and force a single exact interleaving.
+  std::function<void(const char* point)> on_point;
 };
 
 class InjectionPlan {

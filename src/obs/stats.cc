@@ -3,6 +3,12 @@
 namespace sg {
 namespace obs {
 
+u32 Counter::AssignStripe() {
+  static std::atomic<u32> next{0};
+  tl_stripe_ = next.fetch_add(1, std::memory_order_relaxed);
+  return tl_stripe_;
+}
+
 Stats& Stats::Global() {
   static Stats* g = new Stats();  // leaked: see header
   return *g;

@@ -9,9 +9,13 @@
 // renders the whole registry for user processes.
 //
 // Design constraints:
-//   * The update path is a single relaxed atomic increment. Name lookup
-//     happens ONCE per call site (function-local static reference in the
-//     SG_OBS_* macros), so instrumentation stays off the critical path.
+//   * The update path is one relaxed atomic add to the calling thread's
+//     stripe of the counter (Counter below): 16 cells, each on its own
+//     cache line, so members faulting in parallel never bounce a shared
+//     line. A read sums the 16 stripes, so every reader (CounterValue,
+//     RenderText, /proc/stat) stays exact. Name lookup happens ONCE per
+//     call site (function-local static reference in the SG_OBS_* macros),
+//     so instrumentation stays off the critical path.
 //   * Registered objects have stable addresses for the life of the
 //     process (the registry is a leaked singleton), so cached references
 //     never dangle — including during static destruction.
@@ -34,14 +38,42 @@
 namespace sg {
 namespace obs {
 
-// Monotonically increasing event count.
+// Monotonically increasing event count, striped across cache-line-padded
+// cells. A thread always adds to the same cell (assigned round-robin at its
+// first increment), so threads on different CPUs write different lines.
 class Counter {
  public:
-  void Inc(u64 n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  u64 value() const { return v_.load(std::memory_order_relaxed); }
+  static constexpr u32 kStripes = 16;  // power of two
+
+  void Inc(u64 n = 1) { cells_[StripeIndex()].v.fetch_add(n, std::memory_order_relaxed); }
+  u64 value() const {
+    u64 sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.v.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
 
  private:
-  std::atomic<u64> v_{0};
+  struct alignas(64) Cell {
+    std::atomic<u64> v{0};
+  };
+
+  // Constant-initialized sentinel rather than a dynamic initializer, so the
+  // fast path is a plain TLS load with no init-guard check.
+  static constexpr u32 kUnassigned = ~u32{0};
+  static inline thread_local u32 tl_stripe_ = kUnassigned;
+
+  static u32 StripeIndex() {
+    u32 idx = tl_stripe_;
+    if (idx == kUnassigned) {
+      idx = AssignStripe();
+    }
+    return idx & (kStripes - 1);
+  }
+  static u32 AssignStripe();
+
+  Cell cells_[kStripes];
 };
 
 // Instantaneous level (live processes, live share blocks).
@@ -132,7 +164,8 @@ class ScopedTimerNs {
 }  // namespace sg
 
 // Increment the named counter. The registry lookup runs once per call site
-// (thread-safe static-local init); afterwards this is one relaxed fetch_add.
+// (thread-safe static-local init); afterwards this is one relaxed fetch_add
+// on the caller's stripe.
 #define SG_OBS_INC(name) SG_OBS_ADD(name, 1)
 
 #define SG_OBS_ADD(name, n)                                                          \

@@ -146,6 +146,7 @@ class Proc final : public ExecutionContext {
   // ----- scheduling / execution -----
   std::atomic<int> priority{0};  // scheduling priority (group-settable, see PR_SETGROUPPRI)
   std::atomic<bool> suspended{false};  // PR_BLOCKGROUP: parked at next kernel entry
+  std::atomic<bool> parked{false};     // currently parked there (observable by the group)
   std::function<void()> entry;  // bound user program (set by the api layer)
   std::thread thread;
 

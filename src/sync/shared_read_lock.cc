@@ -67,15 +67,6 @@ u64 SharedReadLock::reads() const {
   return sum;
 }
 
-void SharedReadLock::SetName(std::string_view name) {
-  name_ = name;
-  const std::string prefix = "sharedlock." + name_ + ".";
-  obs::Stats& stats = obs::Stats::Global();
-  named_updates_ = &stats.counter(prefix + "updates");
-  named_update_waits_ = &stats.counter(prefix + "update_waits");
-  named_wait_histo_ = &stats.histo(prefix + "update_wait_ns");
-}
-
 void SharedReadLock::SleepUntilReleased() {
   // Caller holds acclck_ and has already incremented waitcnt_.
   ExecutionContext* ctx = CurrentExecutionContext();
@@ -208,9 +199,6 @@ void SharedReadLock::AcquireUpdate() {
     ++waitcnt_;
     update_waits_.fetch_add(1, std::memory_order_relaxed);
     SG_OBS_INC("sharedlock.update_waits");
-    if (named_update_waits_ != nullptr) {
-      named_update_waits_->Inc();
-    }
     obs::Trace(obs::TraceKind::kLockUpdateWait);
     // sgcheck:allow(sleep-in-atomic): handoff — SleepUntilReleased drops
     // acclck_ before sleeping and re-holds it before returning.
@@ -233,9 +221,6 @@ void SharedReadLock::AcquireUpdate() {
     }
     update_waits_.fetch_add(1, std::memory_order_relaxed);
     SG_OBS_INC("sharedlock.update_waits");
-    if (named_update_waits_ != nullptr) {
-      named_update_waits_->Inc();
-    }
     obs::Trace(obs::TraceKind::kLockUpdateWait);
     WaitDrainChangedFrom(gen);
   }
@@ -243,17 +228,11 @@ void SharedReadLock::AcquireUpdate() {
   lockdep::OnAcquire(SharedLockClass(), this);
   updates_.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("sharedlock.updates");
-  if (named_updates_ != nullptr) {
-    named_updates_->Inc();
-  }
   static obs::LatencyHisto& global_wait_histo =
       obs::Stats::Global().histo("sharedlock.update_wait_ns");
   const u64 wait_ns = NowNsSince(t0);
   global_wait_histo.Record(wait_ns);
   wait_histo_.Record(wait_ns);
-  if (named_wait_histo_ != nullptr) {
-    named_wait_histo_->Record(wait_ns);
-  }
 }
 
 bool SharedReadLock::TryAcquireUpdate() {
@@ -277,9 +256,6 @@ bool SharedReadLock::TryAcquireUpdate() {
   lockdep::OnAcquire(SharedLockClass(), this);
   updates_.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("sharedlock.updates");
-  if (named_updates_ != nullptr) {
-    named_updates_->Inc();
-  }
   return true;
 }
 

@@ -78,12 +78,12 @@ class SG_CAPABILITY("shared_read_lock") SharedReadLock {
   // waiting (used only by tests; inherently racy otherwise).
   bool TryAcquireUpdate() SG_TRY_ACQUIRE(true);
 
-  // Names the lock so its update-side counters additionally surface as
-  // `sharedlock.<name>.*` in the global registry (and through that in
-  // /proc/stat), giving per-group numbers instead of only the process-wide
-  // sharedlock.* aggregate. Call before the lock is shared; not
-  // thread-safe against concurrent acquisition.
-  void SetName(std::string_view name);
+  // Names the lock for /proc/share/<gid> ("lock.name"), which reports the
+  // per-lock numbers below from the lock's own fields. No per-lock names
+  // enter the global registry: it only ever grows, and groups come and go.
+  // Call before the lock is shared; not thread-safe against concurrent
+  // acquisition.
+  void SetName(std::string_view name) { name_ = name; }
   const std::string& name() const { return name_; }
 
   // Stats for the E8 benchmark and /proc/share/<gid>.
@@ -179,9 +179,6 @@ class SG_CAPABILITY("shared_read_lock") SharedReadLock {
   // sgcheck:allow(guarded-fields): written by SetName before the lock is
   // shared (documented contract), read-only afterwards
   std::string name_;
-  obs::Counter* named_updates_ = nullptr;
-  obs::Counter* named_update_waits_ = nullptr;
-  obs::LatencyHisto* named_wait_histo_ = nullptr;
 };
 
 // RAII guards. Scoped capabilities with an early-release escape: clang

@@ -38,6 +38,7 @@
 #include "base/types.h"
 #include "hw/cpu_set.h"
 #include "hw/tlb.h"
+#include "inject/inject.h"
 #include "sync/seqcount.h"
 #include "sync/shared_read_lock.h"
 #include "vm/layout.h"
@@ -109,8 +110,23 @@ class SharedSpace {
   class EpochGuard {
    public:
     explicit EpochGuard(SharedSpace& ss) : ss_(ss), slot_(EpochSlotIndex()) {
-      parity_ = ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1;
-      ss_.epoch_slots_[slot_].n[parity_].fetch_add(1, std::memory_order_seq_cst);
+      for (;;) {
+        parity_ = ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1;
+        SG_INJECT_POINT("vm.epoch.enter");
+        std::atomic<u64>& n = ss_.epoch_slots_[slot_].n[parity_];
+        n.fetch_add(1, std::memory_order_seq_cst);
+        // A writer may have flipped the parity between the load and the
+        // increment. Registered on the stale side, this reader would sit
+        // on the side the NEXT writer treats as new and never drains, and
+        // that writer would free memory the reader is about to load. So
+        // re-check: if the parity still matches, any later flip drains
+        // this side and sees the increment (both are seq_cst); otherwise
+        // back out and register again.
+        if ((ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1) == parity_) {
+          return;
+        }
+        n.fetch_sub(1, std::memory_order_seq_cst);
+      }
     }
     ~EpochGuard() {
       ss_.epoch_slots_[slot_].n[parity_].fetch_sub(1, std::memory_order_seq_cst);

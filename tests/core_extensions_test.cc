@@ -203,20 +203,26 @@ TEST(BlockGroup, MembersParkAtKernelEntryUntilUnblocked) {
       env.Yield();
     }
     EXPECT_EQ(env.Prctl(PR_BLOCKGROUP, 0), kMembers);
-    // Wait for them to actually park, then verify no progress.
-    u64 snap = progress.load();
-    u64 settled = snap;
-    for (int i = 0; i < 200; ++i) {
+    // Wait for every member to park at its next kernel entry, then verify
+    // no progress while they stay parked.
+    auto parked_members = [&] {
+      int n = 0;
+      env.proc().shaddr->ForEachMember([&](Proc& m) {
+        if (&m != &env.proc() && m.parked.load()) {
+          ++n;
+        }
+      });
+      return n;
+    };
+    while (parked_members() < kMembers) {
       env.Yield();
-      settled = progress.load();
     }
     const u64 frozen = progress.load();
     for (int i = 0; i < 200; ++i) {
       env.Yield();
     }
     EXPECT_EQ(progress.load(), frozen);
-    (void)snap;
-    (void)settled;
+    EXPECT_EQ(parked_members(), kMembers);
     // Thaw; they must move again, then kill them off.
     EXPECT_EQ(env.Prctl(PR_UNBLKGROUP, 0), kMembers);
     const u64 resumed_from = progress.load();

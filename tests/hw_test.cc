@@ -2,6 +2,7 @@
 // managed TLB, and the cross-processor flush accounting.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -199,6 +200,39 @@ TEST(Tlb, StatsCount) {
   (void)tlb.Probe(2, false);
   EXPECT_EQ(tlb.hits(), 1u);
   EXPECT_EQ(tlb.misses(), 1u);
+}
+
+TEST(Tlb, CountersExactUnderConcurrentFlushes) {
+  // The counters are plain fields under the TLB lock: an owner translating
+  // while a remote CPU storms shootdowns must lose no increment.
+  Tlb tlb(64);
+  constexpr u64 kAccesses = 200000;
+  std::atomic<bool> done{false};
+  u64 flush_calls = 0;
+  std::thread flusher([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (flush_calls % 2 == 0) {
+        tlb.FlushAll();
+      } else {
+        tlb.FlushPage(flush_calls % 8);
+      }
+      ++flush_calls;
+    }
+  });
+  u64 seen_hits = 0;
+  for (u64 i = 0; i < kAccesses; ++i) {
+    const u64 vpn = i % 8;
+    if (tlb.WithEntry(vpn, false, [&](pfn_t pfn) { EXPECT_EQ(pfn, vpn + 100); })) {
+      ++seen_hits;
+    } else {
+      tlb.Insert(vpn, vpn + 100, true);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  flusher.join();
+  EXPECT_EQ(tlb.hits(), seen_hits);
+  EXPECT_EQ(tlb.hits() + tlb.misses(), kAccesses);
+  EXPECT_EQ(tlb.flushes(), flush_calls);
 }
 
 TEST(CpuSet, SynchronousFlushHitsAllTargets) {

@@ -16,15 +16,22 @@
 //   SG_STORM_SEED=<seed> ctest -R VmLocklessStorm.ReplayEnvSeed
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 
 #include "api/kernel.h"
 #include "api/user_env.h"
 #include "core/share_mask.h"
+#include "hw/cpu_set.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
 #include "sync/lockdep.h"
+#include "sync/shared_read_lock.h"
+#include "vm/shared_space.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define SG_STORM_TSAN 1
@@ -258,6 +265,80 @@ TEST(VmLocklessStorm, SeamsExercised) {
   EXPECT_GT(stats.CounterValue("vm.fault.retries") +
                 stats.CounterValue("vm.fault.fallbacks"),
             slow0);
+}
+
+// Regression: EpochGuard used to load the parity and then increment that
+// side without re-checking it. A reader delayed between the two across one
+// writer's parity flip ended up registered on the side the NEXT writer
+// treats as new, so the second writer's AwaitQuiescent returned (and freed
+// the graveyard) while the reader could still hold a snapshot from before
+// it: the use-after-free behind the vm_churn crash in FindSharedFast. Park
+// a reader at vm.epoch.enter across the first writer's flip; the second
+// writer must then wait for the reader's guard to drop.
+TEST(VmLocklessStorm, EpochReaderParkedAcrossParityFlipIsDrained) {
+  CpuSet cpus(4);
+  SharedSpace ss(cpus);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> flips{0};
+  std::atomic<bool> in_guard{false};
+  std::atomic<bool> w2_returned{false};
+  bool reader_saw_w2_return = false;
+
+  inject::PlanConfig cfg;
+  cfg.on_point = [&](const char* point) {
+    if (std::strcmp(point, "vm.layout.await_drain") == 0) {
+      flips.fetch_add(1);
+    } else if (std::strcmp(point, "vm.epoch.enter") == 0 && !parked.exchange(true)) {
+      // First registration attempt only: stay between the parity load and
+      // the increment until the first writer has flipped.
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  inject::InjectionPlan plan(0x5EED0E00ull, cfg);
+  inject::ScopedInjection active(plan);
+
+  std::thread reader([&] {
+    SharedSpace::EpochGuard g(ss);
+    in_guard = true;
+    while (flips.load() < 2) {
+      std::this_thread::yield();
+    }
+    // Hold the guard until the second writer returns, which it must not do
+    // while this reader is registered; give up after a bound.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (!w2_returned.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    reader_saw_w2_return = w2_returned.load();
+  });
+
+  const auto park_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!parked.load() && std::chrono::steady_clock::now() < park_deadline) {
+    std::this_thread::yield();
+  }
+  const bool reader_parked = parked.load();
+  {
+    UpdateGuard g(ss.lock());
+    ss.AwaitQuiescent();  // first writer: flips while the reader is parked
+  }
+  release = true;
+  while (!in_guard.load()) {
+    std::this_thread::yield();
+  }
+  std::thread w2([&] {
+    UpdateGuard g(ss.lock());
+    ss.AwaitQuiescent();
+    w2_returned = true;
+  });
+  reader.join();
+  w2.join();
+  ASSERT_TRUE(reader_parked) << "the reader never reached vm.epoch.enter";
+  EXPECT_EQ(flips.load(), 2);
+  EXPECT_FALSE(reader_saw_w2_return)
+      << "the second writer's drain returned while an epoch reader was registered";
 }
 
 #else  // !SG_INJECT_ENABLED
