@@ -4,15 +4,14 @@
 // one of the processes in a group opens a file, the others will see the
 // file as immediately available to them".
 //
-// The bracket is conditional (taken only when the caller shares PR_SFDS),
-// which clang's thread-safety analysis cannot express — the descriptor
-// syscalls below carry SG_NO_THREAD_SAFETY_ANALYSIS, and the runtime
-// lockdep validator covers the bracket ordering instead.
+// FdUpdateBracket (core/shaddr.h) is that bracket; it is a spinlock, so
+// nothing inside it may block. Work that may (the path walk of an open,
+// creating a pipe) runs before it; references the edit drops are released
+// after it.
 #include <algorithm>
 #include <vector>
 
 #include "api/kernel.h"
-#include "base/thread_annotations.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
 #include "vm/access.h"
@@ -21,18 +20,15 @@ namespace sg {
 
 namespace {
 
-// Headroom check against the group's fd cap (src/rm/). Valid only inside the
-// s_fupdsema bracket after the pull: there the rm node's kFiles `used` equals
-// the master table's population, so `used + delta <= cap` is an exact
-// admission test. The charge itself moves with PublishFds — this never
-// charges, so no unwind is needed on later failure.
-bool FdCapAllows(ShaddrBlock* b, u64 delta) {
+// Headroom test against the group's fd cap (src/rm/). Exact only inside the
+// descriptor bracket after the pull: there the rm node's kFiles `used`
+// equals the master table's population, so `used + delta <= cap` is an
+// exact admission test. Outside the bracket it is a racy pre-check. The
+// charge itself moves with PublishFds — this never charges, so no unwind
+// is needed on later failure.
+bool FdCapHolds(ShaddrBlock* b, u64 delta) {
   if (b == nullptr) {
     return true;  // private fd table: no group, no cap
-  }
-  if (SG_INJECT_FAULT("rm.cap.files")) {
-    SG_OBS_INC("rm.cap.denied.files");
-    return false;
   }
   rm::GroupNode* n = b->rm_node();
   const u64 cap = n->cap(rm::Resource::kFiles);
@@ -43,155 +39,135 @@ bool FdCapAllows(ShaddrBlock* b, u64 delta) {
   return false;
 }
 
+// The fd-admission seam: an injected denial, then the cap test. Open and
+// MakePipe run it before their walk/pipe creation, so a cap that already
+// denies costs no side effect (an O_CREAT open creates no file), and repeat
+// FdCapHolds exactly inside the bracket.
+bool FdCapAllows(ShaddrBlock* b, u64 delta) {
+  if (b != nullptr && SG_INJECT_FAULT("rm.cap.files")) {
+    SG_OBS_INC("rm.cap.denied.files");
+    return false;
+  }
+  return FdCapHolds(b, delta);
+}
+
 }  // namespace
 
-Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("open");
   ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
-  Result<int> result = Errno::kEINVAL;
-  if (!FdCapAllows(b, 1)) {
-    result = Errno::kEAGAIN;
-  } else {
+  Result<int> result = Errno::kEAGAIN;
+  if (FdCapAllows(b, 1)) {
+    // The walk (and any O_CREAT) happens outside the bracket; only
+    // installing the new file in the table needs it.
     auto f = SG_INJECT_FAULT("open")
                  ? Result<OpenFile*>(Errno::kENFILE)  // injected: file table full
                  : vfs_.Open(p.cwd, p.rootdir, CredOf(p), path, flags, mode, p.umask);
     if (!f.ok()) {
       result = f.error();
     } else {
-      auto fd = p.fds.AllocSlot(f.value());
+      SG_INJECT_POINT("fs.open.pre_install");
+      FdUpdateBracket u(vfs_.files(), b, p);
+      auto fd = FdCapHolds(b, 1) ? p.fds.AllocSlot(f.value()) : Result<int>(Errno::kEAGAIN);
       if (!fd.ok()) {
-        vfs_.files().Release(f.value());
+        u.ReleaseLater(f.value());
         result = fd.error();
       } else {
         result = fd.value();
-        if (b != nullptr) {
-          b->PublishFds(p);
-        }
+        u.Publish();
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;
 }
 
-Status Kernel::Close(Proc& p, int fd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Status Kernel::Close(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("close");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Status st = Status::Ok();
-  auto f = p.fds.ClearSlot(fd);
-  if (!f.ok()) {
-    st = f.error();
-  } else {
-    vfs_.files().Release(f.value());
-    if (b != nullptr) {
-      b->PublishFds(p);
+  {
+    FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
+    auto f = p.fds.ClearSlot(fd);
+    if (!f.ok()) {
+      st = f.error();
+    } else {
+      u.ReleaseLater(f.value());
+      u.Publish();
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return st;
 }
 
-Result<int> Kernel::Dup(Proc& p, int fd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<int> Kernel::Dup(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("dup");
   ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Result<int> result = Errno::kEBADF;
-  auto f = p.fds.Get(fd);
-  if (f.ok() && !FdCapAllows(b, 1)) {
-    result = Errno::kEAGAIN;
-  } else if (f.ok()) {
-    auto slot = p.fds.AllocSlot(vfs_.files().Dup(f.value()));
-    if (!slot.ok()) {
-      vfs_.files().Release(f.value());
-      result = slot.error();
-    } else {
-      result = slot.value();
-      if (b != nullptr) {
-        b->PublishFds(p);
+  {
+    FdUpdateBracket u(vfs_.files(), b, p);
+    auto f = p.fds.Get(fd);
+    if (f.ok() && !FdCapAllows(b, 1)) {
+      result = Errno::kEAGAIN;
+    } else if (f.ok()) {
+      OpenFile* dup = vfs_.files().Dup(f.value());
+      auto slot = p.fds.AllocSlot(dup);
+      if (!slot.ok()) {
+        u.ReleaseLater(dup);
+        result = slot.error();
+      } else {
+        result = slot.value();
+        u.Publish();
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;
 }
 
-Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("dup2");
   ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Result<int> result = Errno::kEBADF;
-  auto f = p.fds.Get(fd);
-  if (f.ok() && p.fds.ValidFd(newfd)) {
-    if (fd == newfd) {
-      result = newfd;
-    } else if (!p.fds.Slot(newfd).used() && !FdCapAllows(b, 1)) {
-      // Only a dup onto an EMPTY slot grows the table; replacing counts 0.
-      result = Errno::kEAGAIN;
-    } else {
-      auto old = p.fds.ClearSlot(newfd);
-      if (old.ok()) {
-        vfs_.files().Release(old.value());
-      }
-      SG_RETURN_IF_ERROR(p.fds.SetSlot(newfd, vfs_.files().Dup(f.value()), false));
-      result = newfd;
-      if (b != nullptr) {
-        b->PublishFds(p);
+  {
+    FdUpdateBracket u(vfs_.files(), b, p);
+    auto f = p.fds.Get(fd);
+    if (f.ok() && p.fds.ValidFd(newfd)) {
+      FdEntry& slot = p.fds.Slot(newfd);
+      if (fd == newfd) {
+        result = newfd;
+      } else if (!slot.used() && !FdCapAllows(b, 1)) {
+        // Only a dup onto an EMPTY slot grows the table; replacing counts 0.
+        result = Errno::kEAGAIN;
+      } else {
+        if (slot.used()) {
+          u.ReleaseLater(slot.file);
+        }
+        slot = FdEntry{vfs_.files().Dup(f.value()), false};
+        result = newfd;
+        u.Publish();
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;
 }
 
-Status Kernel::SetCloexec(Proc& p, int fd, bool on) SG_NO_THREAD_SAFETY_ANALYSIS {
+Status Kernel::SetCloexec(Proc& p, int fd, bool on) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("setcloexec");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Status st = Status::Ok();
-  if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
-    st = Errno::kEBADF;
-  } else {
-    p.fds.Slot(fd).close_on_exec = on;
-    if (b != nullptr) {
-      b->PublishFds(p);  // s_pofile mirrors the flag bytes too
+  {
+    FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
+    if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
+      st = Errno::kEBADF;
+    } else {
+      p.fds.Slot(fd).close_on_exec = on;
+      u.Publish();  // s_pofile mirrors the flag bytes too
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return st;
@@ -208,42 +184,32 @@ Result<bool> Kernel::GetCloexec(Proc& p, int fd) {
   return r;
 }
 
-Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("makepipe");
   ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
-  Result<std::pair<int, int>> result = Errno::kENFILE;
-  if (!FdCapAllows(b, 2)) {  // a pipe admits both ends or neither
-    result = Errno::kEAGAIN;
-  } else {
-    auto made = vfs_.MakePipe();
+  Result<std::pair<int, int>> result = Errno::kEAGAIN;
+  if (FdCapAllows(b, 2)) {  // a pipe admits both ends or neither
+    auto made = vfs_.MakePipe();  // allocates: outside the bracket
     if (!made.ok()) {
       result = made.error();
     } else {
       auto [rd, wr] = made.value();
-      auto rfd = p.fds.AllocSlot(rd);
-      auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
-      if (!rfd.ok() || !wfd.ok()) {
+      FdUpdateBracket u(vfs_.files(), b, p);
+      auto rfd = FdCapHolds(b, 2) ? p.fds.AllocSlot(rd) : Result<int>(Errno::kEAGAIN);
+      auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(rfd.error());
+      if (!wfd.ok()) {
         if (rfd.ok()) {
           p.fds.ClearSlot(rfd.value()).value();
         }
-        vfs_.files().Release(rd);
-        vfs_.files().Release(wr);
-        result = Errno::kEMFILE;
+        u.ReleaseLater(rd);
+        u.ReleaseLater(wr);
+        result = wfd.error();
       } else {
         result = std::make_pair(rfd.value(), wfd.value());
-        if (b != nullptr) {
-          b->PublishFds(p);
-        }
+        u.Publish();
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;

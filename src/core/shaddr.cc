@@ -21,6 +21,10 @@ bool Sharable(const Pregion& pr) { return pr.region->type() != RegionType::kPrda
 // unambiguous across the lifetime of the simulation.
 std::atomic<u64> g_next_group_id{1};
 
+// Spin time of contended fd-bracket acquisitions. Registered up front so
+// /proc/stat lists it (count 0) before the first contention.
+obs::LatencyHisto& g_fupdsema_wait_ns = obs::Stats::Global().histo("core.fupdsema_wait_ns");
+
 }  // namespace
 
 ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceManager& rm)
@@ -348,7 +352,16 @@ void ShaddrBlock::StoreFdsLane(u64 fd_gen) {
 
 // ----- file descriptors (under fupdsema_) -----
 
-void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
+void ShaddrBlock::LockFileUpdate() {
+  if (fupdsema_.TryLock()) {
+    return;  // uncontended: another member isn't mid-update
+  }
+  SG_OBS_INC("core.fupdsema_waits");
+  obs::ScopedTimerNs timer(g_fupdsema_wait_ns);  // records once the lock is ours
+  fupdsema_.Lock();
+}
+
+void ShaddrBlock::PullFdsIfFlagged(Proc& p, FdUpdateBracket& u) {
   // A set kPfSyncFds bit forces a full-table reconcile: PR_JOINGROUP
   // joiners carry arbitrary private tables (and an unrelated synced-gen
   // from a previous group), and the lane-wrap fallback routes members too
@@ -375,7 +388,7 @@ void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
       continue;
     }
     if (mine.used()) {
-      vfs_.files().Release(mine.file);
+      u.ReleaseLater(mine.file);
     }
     mine = s.e.used() ? FdEntry{vfs_.files().Dup(s.e.file), s.e.close_on_exec} : FdEntry{};
     ++pulled;
@@ -388,7 +401,7 @@ void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
   }
 }
 
-void ShaddrBlock::PublishFds(Proc& p) {
+void ShaddrBlock::PublishFds(Proc& p, FdUpdateBracket& u) {
   SG_INJECT_POINT("shaddr.fds.delta_publish");
   // Diff the member's table against the master and retarget only changed
   // slots. fupdsema_ single-threads every reader and writer of ofile_; the
@@ -410,7 +423,7 @@ void ShaddrBlock::PublishFds(Proc& p) {
       s.e.file = mine.used() ? vfs_.files().Dup(mine.file) : nullptr;
       used_delta += (s.e.file != nullptr ? 1 : 0) - (displaced != nullptr ? 1 : 0);
       if (displaced != nullptr) {
-        vfs_.files().Release(displaced);
+        u.ReleaseLater(displaced);
       }
     }
     s.e.close_on_exec = mine.close_on_exec;
@@ -421,9 +434,9 @@ void ShaddrBlock::PublishFds(Proc& p) {
     if (used_delta != 0) {
       ofile_count_.fetch_add(used_delta, std::memory_order_acq_rel);
       // kFiles tracks the master table exactly, and only from inside this
-      // single-threaded bracket. Forced: the cap was already enforced as a
-      // headroom check at the syscall seam (kernel_fs.cc), so the publish
-      // itself must never bounce.
+      // single-threaded bracket. Forced: the cap was already enforced as an
+      // exact headroom check inside this same bracket (kernel_fs.cc), so
+      // the publish itself must never bounce.
       if (used_delta > 0) {
         node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
       } else {
@@ -607,9 +620,7 @@ void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
   };
   if (stale(kLaneFds, kPfSyncFds)) {
     if ((mask & PR_SFDS) != 0) {
-      LockFileUpdate();
-      PullFdsIfFlagged(p);
-      UnlockFileUpdate();
+      FdUpdateBracket pull(vfs_.files(), this, p);  // replaced refs drop after its unlock
     } else {
       adopt(kLaneFds, kPfSyncFds);
     }

@@ -7,7 +7,8 @@
 //       -> space_ (vm::SharedSpace: the shared pregion list + SharedReadLock)
 //   s_plink / s_refcnt / s_listlock
 //       -> the member chain (through Proc::s_plink), refcnt_, listlock_
-//   s_fupdsema -> fupdsema_ (single-threads open-file-table updates)
+//   s_fupdsema -> fupdsema_ (single-threads open-file-table updates; a
+//       spinlock here, not IRIX's sleeping semaphore — see the bracket below)
 //   s_ofile / s_pofile -> ofile_ (master copy of the descriptor table,
 //       FdEntry carries the per-descriptor flag byte), generation-stamped
 //       per slot for delta synchronization
@@ -46,9 +47,11 @@
 #ifndef SRC_CORE_SHADDR_H_
 #define SRC_CORE_SHADDR_H_
 
+#include <array>
 #include <atomic>
 #include <vector>
 
+#include "base/check.h"
 #include "base/thread_annotations.h"
 #include "base/types.h"
 #include "fs/file.h"
@@ -58,8 +61,6 @@
 #include "obs/trace.h"
 #include "proc/proc.h"
 #include "rm/rm.h"
-#include "sync/lockdep.h"
-#include "sync/semaphore.h"
 #include "sync/spinlock.h"
 #include "vm/shared_space.h"
 
@@ -94,6 +95,8 @@ struct MasterFdSlot {
   FdEntry e;
   u64 gen = 0;
 };
+
+class FdUpdateBracket;
 
 class ShaddrBlock {
  public:
@@ -185,38 +188,12 @@ class ShaddrBlock {
   //   lock -> pull-if-stale -> apply caller's change -> copy to master ->
   //   bump the resource's generation lane -> unlock.
   //
-  // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema)
-  // and bracket a whole open/close/dup in the syscall layer; the small
-  // scalar resources complete inside rupdlock_ (s_rupdlock).
-
-  // Descriptor-table update bracket. Sequence in the syscall layer:
-  //   LockFileUpdate(); PullFdsIfFlagged(p); <modify p.fds>;
-  //   PublishFds(p); UnlockFileUpdate();
-  void LockFileUpdate() SG_ACQUIRE(fupdsema_) {
-    // The bracket is a sleeping acquisition even when TryP wins the fast
-    // path, so declare the sleep intent before trying.
-    lockdep::MaySleep("shaddr.LockFileUpdate");
-    if (fupdsema_.TryP()) {
-      lockdep::OnAcquire(FupdsemaClass(), this);
-      return;  // uncontended: another member isn't mid-update
-    }
-    SG_OBS_INC("core.fupdsema_waits");
-    obs::Trace(obs::TraceKind::kSemSleep, 1);
-    (void)fupdsema_.P();  // uninterruptible: always kOk
-    lockdep::OnAcquire(FupdsemaClass(), this);
-  }
-  void UnlockFileUpdate() SG_RELEASE(fupdsema_) {
-    lockdep::OnRelease(FupdsemaClass(), this);
-    fupdsema_.V();
-  }
-  // Delta pull: copies only master slots stamped newer than the member's
-  // last-synced generation. A member flagged with kPfSyncFds (forced
-  // resync: PR_JOINGROUP, lane wrap) reconciles every slot instead.
-  void PullFdsIfFlagged(Proc& p) SG_REQUIRES(fupdsema_);
-  // Delta publish: diffs `p`'s table against the master and touches only
-  // changed slots (refcount traffic proportional to the change, not the
-  // table), stamping them with a fresh table generation.
-  void PublishFds(Proc& p) SG_REQUIRES(fupdsema_);
+  // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema).
+  // IRIX sleeps on that semaphore across a whole open/close; here it is a
+  // spinlock held only for the descriptor-table edit, through
+  // FdUpdateBracket (below): the path walk runs before it, last-reference
+  // drops after it. The small scalar resources complete inside rupdlock_
+  // (s_rupdlock).
 
   // Scalar resources; null/unset arguments leave that field as-is.
   void UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root);  // takes over the counted refs
@@ -246,13 +223,23 @@ class ShaddrBlock {
   int OfileCount() const { return ofile_count_.load(std::memory_order_acquire); }
 
  private:
-  // Lockdep class of the fupdsema_ bracket (the semaphore itself is a
-  // generic counting primitive; the ordering class belongs to this use).
-  static lockdep::ClassId FupdsemaClass() {
-    static const lockdep::ClassId id =
-        lockdep::RegisterClass("shaddr.fupdsema", lockdep::Kind::kSleep);
-    return id;
-  }
+  friend class FdUpdateBracket;
+
+  // The descriptor bracket's lock. An uncontended acquire is one xchg; a
+  // contended one spins (counted in core.fupdsema_waits, its wait timed
+  // into core.fupdsema_wait_ns) and never parks the host thread.
+  void LockFileUpdate() SG_ACQUIRE(fupdsema_);
+  void UnlockFileUpdate() SG_RELEASE(fupdsema_) { fupdsema_.Unlock(); }
+  // Delta pull: copies only master slots stamped newer than the member's
+  // last-synced generation. A member flagged with kPfSyncFds (forced
+  // resync: PR_JOINGROUP, lane wrap) reconciles every slot instead. The
+  // member references it replaces are released by `u` after the unlock.
+  void PullFdsIfFlagged(Proc& p, FdUpdateBracket& u) SG_REQUIRES(fupdsema_);
+  // Delta publish: diffs `p`'s table against the master and touches only
+  // changed slots (refcount traffic proportional to the change, not the
+  // table), stamping them with a fresh table generation. The master
+  // references it displaces are released by `u` after the unlock.
+  void PublishFds(Proc& p, FdUpdateBracket& u) SG_REQUIRES(fupdsema_);
 
   // Bumps `lane` of resgen_ by one (CAS: the fds lane and the scalar lanes
   // are bumped under different locks, so a plain RMW could carry into a
@@ -285,7 +272,10 @@ class ShaddrBlock {
   Proc* plink_ SG_GUARDED_BY(listlock_) = nullptr;  // s_plink
   u32 refcnt_ SG_GUARDED_BY(listlock_) = 0;         // s_refcnt
 
-  Semaphore fupdsema_{1};  // s_fupdsema
+  // s_fupdsema. Its critical section is the O(changed) slot edits, one
+  // FileTable::Dup (a fetch_add) per copied slot, the rm kFiles atomics
+  // and FlagOthers; everything that may block runs outside it.
+  Spinlock fupdsema_{"shaddr.fupdsema"};
   // s_ofile + s_pofile: the master descriptor table, generation-stamped
   // per slot. Touched only inside the fupdsema_ bracket; the /proc
   // snapshot reads the incremental ofile_count_ instead of walking it.
@@ -311,6 +301,66 @@ class ShaddrBlock {
   u64 limit_ SG_GUARDED_BY(rupdlock_) = 0;          // s_limit
   uid_t uid_ SG_GUARDED_BY(rupdlock_) = 0;          // s_uid
   gid_t gid_ SG_GUARDED_BY(rupdlock_) = 0;          // s_gid
+};
+
+// The §6.3 descriptor-table update bracket, written once for every fd
+// syscall and for the kernel-entry pull:
+//
+//   FdUpdateBracket u(files, b, p);  // lock, pull-if-stale (double-update check)
+//   <edit p.fds; u.ReleaseLater(f) for each reference the edit drops>
+//   u.Publish();                     // copy the change to the master
+//   }                                // unlock, then release what was dropped
+//
+// With a null block (the caller does not share PR_SFDS) there is no lock,
+// pull or publish; ReleaseLater still defers to the end of the scope.
+// Only the caller's own table edits may run inside: the path walk of an
+// open and the creation of a pipe happen before the bracket (Linux's
+// do_filp_open before fd_install), and every last-reference drop after it.
+class FdUpdateBracket {
+ public:
+  FdUpdateBracket(FileTable& files, ShaddrBlock* b, Proc& p) SG_NO_THREAD_SAFETY_ANALYSIS
+      : files_(files), b_(b), p_(p) {
+    if (b_ != nullptr) {
+      b_->LockFileUpdate();
+      b_->PullFdsIfFlagged(p_, *this);
+    }
+  }
+  ~FdUpdateBracket() SG_NO_THREAD_SAFETY_ANALYSIS {
+    if (b_ != nullptr) {
+      b_->UnlockFileUpdate();
+    }
+    for (u32 i = 0; i < ndropped_; ++i) {
+      files_.Release(dropped_[i]);
+    }
+  }
+  FdUpdateBracket(const FdUpdateBracket&) = delete;
+  FdUpdateBracket& operator=(const FdUpdateBracket&) = delete;
+
+  // Copies the caller's edited table to the master (no-op without a block).
+  void Publish() SG_NO_THREAD_SAFETY_ANALYSIS {
+    if (b_ != nullptr) {
+      b_->PublishFds(p_, *this);
+    }
+  }
+  // Drops one reference once the bracket has unlocked: FileTable::Release's
+  // zero crossing takes a shard mutex and Iputs the inode, and neither may
+  // run under the spinlock.
+  void ReleaseLater(OpenFile* f) {
+    SG_CHECK(ndropped_ < kMaxDropped);
+    dropped_[ndropped_++] = f;
+  }
+
+ private:
+  // No heap: a pull drops at most one reference per slot, a publish at
+  // most one per slot, and the syscall itself at most two (MakePipe's
+  // unwind).
+  static constexpr u32 kMaxDropped = 2 * FdTable::kMaxFds + 2;
+
+  FileTable& files_;
+  ShaddrBlock* const b_;
+  Proc& p_;
+  std::array<OpenFile*, kMaxDropped> dropped_;  // [0, ndropped_) are live
+  u32 ndropped_ = 0;
 };
 
 }  // namespace sg

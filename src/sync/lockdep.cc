@@ -26,8 +26,9 @@ namespace {
 // (RegisterClass panics past it rather than silently merging classes).
 constexpr u32 kMaxClasses = 64;
 
-// Deepest tracked nesting per thread. The real protocol never nests past
-// three (fupdsema -> rupdlock -> listlock); 32 catches even absurd tests.
+// Deepest tracked nesting per thread. The real protocol nests only a few
+// deep (fupdsema -> listlock, sharedlock -> tlb); 32 catches even absurd
+// tests.
 constexpr u32 kMaxHeld = 32;
 
 struct ClassInfo {

@@ -21,11 +21,14 @@ enum class SleepMode {
   kInterruptible,    // additionally wake with EINTR on a pending signal
 };
 
-// Capability annotations model the binary (mutex-style) use — the kernel's
-// only instance is s_fupdsema, initial count 1, P/V strictly bracketed.
-// The annotations describe the uninterruptible path; an EINTR return from
-// an interruptible P does NOT hold the capability, so such call sites must
-// hand the result to clang explicitly (none exist in the kernel today).
+// No kernel path takes one today: its one instance, s_fupdsema, became a
+// spinlock whose section never sleeps (DESIGN.md §4f). It stays as the
+// sleeping primitive the lockdep validator and its tests exercise.
+// Capability annotations model the binary (mutex-style) use — initial
+// count 1, P/V strictly bracketed. The annotations describe the
+// uninterruptible path; an EINTR return from an interruptible P does NOT
+// hold the capability, so such call sites must hand the result to clang
+// explicitly.
 class SG_CAPABILITY("semaphore") Semaphore {
  public:
   explicit Semaphore(i64 initial = 0) : count_(initial) {}

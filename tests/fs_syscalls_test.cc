@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <thread>
 
 #include "api/kernel.h"
 #include "api/user_env.h"
+#include "inject/inject.h"
+#include "obs/stats.h"
+#include "sync/lockdep.h"
 
 namespace sg {
 namespace {
@@ -237,6 +243,186 @@ TEST(FsCalls, OfileSnapshotRacesGrowingMasterTable) {
   EXPECT_EQ(k.LiveBlocks(), 0u);
   EXPECT_EQ(k.vfs().files().Count(), 0u);
 }
+
+// A file's last reference drops inside a member's deferred release: A
+// closes the file while B still holds it through its not-yet-synced table.
+// B's next kernel entry pulls the close, and the reference it drops is the
+// last one — released after the descriptor bracket unlocks (the zero
+// crossing takes a FileTable shard mutex and Iputs the inode).
+TEST(FsCalls, LastReferenceDropsInMembersDeferredRelease) {
+  Kernel k;
+  FileTable& files = k.vfs().files();
+  InodeTable& inodes = k.vfs().inodes();
+  std::atomic<std::thread::id> b_thread{};
+  std::atomic<int> last_drops_on_b{0};
+  std::atomic<int> last_drops_with_lock_held{0};
+  inject::PlanConfig cfg;
+  cfg.on_point = [&](const char* point) {
+    if (std::strcmp(point, "file.release.last") == 0 &&
+        std::this_thread::get_id() == b_thread.load()) {
+      last_drops_on_b.fetch_add(1);
+      if (lockdep::HeldCount() != 0) {
+        last_drops_with_lock_held.fetch_add(1);
+      }
+    }
+  };
+  inject::InjectionPlan plan(0x1A57u, cfg);
+  inject::ScopedInjection active(plan);
+  RunAsProcess(k, [&](Env& env) {
+    // Baselines with the file created but closed.
+    int fd = env.Open("/lastref", kOpenRdwr | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    Inode* ip = env.proc().fds.Get(fd).value()->inode();
+    ASSERT_EQ(env.Close(fd), 0);
+    const u64 files_base = files.Count();
+    const u64 inodes_base = inodes.Count();
+    const u32 inode_refs_base = inodes.RefCount(ip);
+
+    fd = env.Open("/lastref", kOpenRdwr);
+    ASSERT_GE(fd, 0);
+    OpenFile* of = env.proc().fds.Get(fd).value();
+    std::atomic<int> stage{0};
+    env.Sproc(
+        [&](Env& c, long) {
+          b_thread = std::this_thread::get_id();
+          stage = 1;
+          // Host-level wait: no kernel entry (so no pull) until A closed.
+          while (stage.load() != 2) {
+            std::this_thread::yield();
+          }
+          EXPECT_EQ(files.RefCount(of), 1u);  // only B's stale slot is left
+          (void)c.Getuid();                   // kernel entry: pull the close
+          EXPECT_FALSE(c.proc().fds.Get(fd).ok());
+          EXPECT_EQ(files.Count(), files_base);
+          EXPECT_EQ(inodes.Count(), inodes_base);
+          EXPECT_EQ(inodes.RefCount(ip), inode_refs_base);
+        },
+        PR_SFDS);
+    while (stage.load() != 1) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(env.Close(fd), 0);  // drops A's and the master's references
+    stage = 2;
+    env.WaitChild();
+  });
+#if defined(SG_INJECT_ENABLED)
+  EXPECT_EQ(last_drops_on_b.load(), 1);
+#endif
+  EXPECT_EQ(last_drops_with_lock_held.load(), 0);
+  EXPECT_EQ(files.Count(), 0u);
+  EXPECT_EQ(k.LiveBlocks(), 0u);
+}
+
+#if defined(SG_INJECT_ENABLED)
+
+// open(2) walks the path before it takes the descriptor bracket: while one
+// member is parked between its walk and the install (the
+// fs.open.pre_install seam), another member's whole open completes. The
+// parked open then installs into the next free slot, with the other
+// member's file already pulled into its table.
+TEST(FsCalls, OpenWalkRunsOutsideDescriptorBracket) {
+  Kernel k;
+  std::atomic<std::thread::id> a_thread{};
+  std::atomic<bool> a_parked{false};
+  std::atomic<bool> b_opened{false};
+  std::atomic<bool> b_opened_while_parked{false};
+  inject::PlanConfig cfg;
+  cfg.on_point = [&](const char* point) {
+    if (std::strcmp(point, "fs.open.pre_install") != 0 ||
+        std::this_thread::get_id() != a_thread.load() || a_parked.exchange(true)) {
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!b_opened.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    b_opened_while_parked = b_opened.load();
+  };
+  inject::InjectionPlan plan(0x0BE2u, cfg);
+  inject::ScopedInjection active(plan);
+  RunAsProcess(k, [&](Env& env) {
+    std::atomic<int> fd_b{-1};
+    env.Sproc(
+        [&](Env& c, long) {
+          while (!a_parked.load()) {
+            std::this_thread::yield();
+          }
+          fd_b = c.Open("/b-file", kOpenRdwr | kOpenCreat);
+          b_opened = true;
+        },
+        PR_SFDS);
+    a_thread = std::this_thread::get_id();
+    const int fd_a = env.Open("/a-file", kOpenRdwr | kOpenCreat);
+    env.WaitChild();
+    EXPECT_TRUE(b_opened_while_parked.load());
+    ASSERT_GE(fd_a, 0);
+    ASSERT_GE(fd_b.load(), 0);
+    EXPECT_NE(fd_a, fd_b.load());
+    // A's bracket pulled B's open before installing its own.
+    EXPECT_TRUE(env.proc().fds.Get(fd_b.load()).ok());
+    EXPECT_EQ(env.Close(fd_a), 0);
+    EXPECT_EQ(env.Close(fd_b.load()), 0);
+  });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+// A member that finds the descriptor bracket held spins for it instead of
+// sleeping: A parks inside its bracket (at the publish seam) until B's
+// close has found the lock taken. The contended acquisition is counted in
+// core.fupdsema_waits and timed into core.fupdsema_wait_ns, which /proc/stat
+// lists.
+TEST(FsCalls, ContendedBracketSpinsAndIsTimed) {
+  Kernel k;
+  obs::Stats& stats = obs::Stats::Global();
+  const u64 waits_before = stats.CounterValue("core.fupdsema_waits");
+  const u64 timed_before = stats.HistoCount("core.fupdsema_wait_ns");
+  const u64 sleeps_before = stats.CounterValue("sync.sema_sleeps");
+  std::atomic<std::thread::id> a_thread{};
+  std::atomic<bool> a_parked{false};
+  std::atomic<bool> b_waited{false};
+  inject::PlanConfig cfg;
+  cfg.on_point = [&](const char* point) {
+    if (std::strcmp(point, "shaddr.fds.delta_publish") != 0 ||
+        std::this_thread::get_id() != a_thread.load() || a_parked.exchange(true)) {
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (stats.CounterValue("core.fupdsema_waits") == waits_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    b_waited = stats.CounterValue("core.fupdsema_waits") > waits_before;
+  };
+  inject::InjectionPlan plan(0x5A17u, cfg);
+  inject::ScopedInjection active(plan);
+  RunAsProcess(k, [&](Env& env) {
+    const int fd = env.Open("/held", kOpenRdwr | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    std::atomic<int> b_close{-1};
+    env.Sproc(
+        [&](Env& c, long) {
+          while (!a_parked.load()) {
+            std::this_thread::yield();
+          }
+          b_close = c.Close(fd);  // A holds the bracket: this must spin
+        },
+        PR_SFDS);
+    a_thread = std::this_thread::get_id();
+    const int fd2 = env.Open("/held2", kOpenRdwr | kOpenCreat);  // parks inside
+    env.WaitChild();
+    EXPECT_GE(fd2, 0);
+    EXPECT_EQ(b_close.load(), 0);
+    env.Close(fd2);
+  });
+  EXPECT_TRUE(b_waited.load());
+  EXPECT_GE(stats.HistoCount("core.fupdsema_wait_ns"), timed_before + 1);
+  // The body of /proc/stat.
+  EXPECT_NE(stats.RenderText().find("core.fupdsema_wait_ns.count"), std::string::npos);
+  EXPECT_EQ(stats.CounterValue("sync.sema_sleeps"), sleeps_before);
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+#endif  // SG_INJECT_ENABLED
 
 }  // namespace
 }  // namespace sg

@@ -163,6 +163,10 @@ TEST(RmApi, FileCapBreachAndRelease) {
     // At the cap now: open and dup both bounce; pipes (needing 2) too.
     EXPECT_LT(env.Open("/rm-two", kOpenWrite | kOpenCreat), 0);
     EXPECT_EQ(env.LastError(), Errno::kEAGAIN);
+    // The denial comes before the path walk: the O_CREAT created nothing.
+    auto two = env.kernel().Stat(env.proc(), "/rm-two");
+    ASSERT_FALSE(two.ok());
+    EXPECT_EQ(two.error(), Errno::kENOENT);
     EXPECT_LT(env.Dup(fd), 0);
     EXPECT_EQ(env.LastError(), Errno::kEAGAIN);
     int rd = -1, wr = -1;

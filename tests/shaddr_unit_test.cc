@@ -184,9 +184,7 @@ TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
     // Raw attach (no sproc seeding): force a full reconcile, the same way
     // PR_JOINGROUP initializes a dynamic joiner.
     b->p_flag.fetch_or(kPfSyncFds, std::memory_order_acq_rel);
-    block.LockFileUpdate();
-    block.PullFdsIfFlagged(*b);  // b catches up (and dups slot 0)
-    block.UnlockFileUpdate();
+    { FdUpdateBracket pull(rig.vfs.files(), &block, *b); }  // b catches up (and dups slot 0)
     EXPECT_EQ(rig.vfs.files().RefCount(f), 3u);  // a + master + b
 
     // Drive the full-width table generation around the 16-bit lane mirror
@@ -196,10 +194,8 @@ TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
     bool flagged_at_wrap = false;
     for (u64 i = 0; i < LaneLimit(kLaneFds); ++i) {
       a->fds.Slot(0).close_on_exec = !a->fds.Slot(0).close_on_exec;
-      block.LockFileUpdate();
-      block.PullFdsIfFlagged(*a);
-      block.PublishFds(*a);
-      block.UnlockFileUpdate();
+      FdUpdateBracket u(rig.vfs.files(), &block, *a);
+      u.Publish();
       if ((b->p_flag.load() & kPfSyncFds) != 0) {
         flagged_at_wrap = true;
       }

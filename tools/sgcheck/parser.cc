@@ -359,19 +359,32 @@ struct StructureScanner {
   }
 
   // Detects zero-arg accessors returning a capability reference
-  // ("SeqCount& layout_seq()"), so call-chain receivers can be typed.
+  // ("SeqCount& layout_seq()") or any other named type ("FileTable&
+  // files()"), so call-chain receivers can be typed.
   void MaybeRecordAccessor(const std::vector<size_t>& head, size_t paren,
                            const std::string& name) {
     static const std::set<std::string> kCapTypes = {
         "Spinlock", "SeqCount", "SharedReadLock", "Semaphore", "Mutex"};
     if (paren + 1 < head.size() && !IsP(f, head[paren + 1], ")")) return;
+    if (name.empty() || paren < 2 || paren > head.size()) return;
     std::string ret;
     for (size_t k = 0; k + 1 < paren && k < head.size(); ++k) {
       if (IsIdent(f, head[k]) && kCapTypes.count(T(f, head[k]).text)) {
         ret = T(f, head[k]).text;
       }
     }
-    if (!ret.empty() && !name.empty()) prog.accessor_types[name] = ret;
+    if (!ret.empty()) prog.accessor_types[name] = ret;
+    // The return type's last identifier: the token before the name, past
+    // any '&'/'*'/const. A template return ("std::vector<T>&") is skipped:
+    // its methods belong to the library, not to a parsed class.
+    size_t k = paren - 1;
+    while (k > 0 && (IsP(f, head[k - 1], "&") || IsP(f, head[k - 1], "*") ||
+                     IsIdent(f, head[k - 1], "const"))) {
+      --k;
+    }
+    if (k > 0 && IsIdent(f, head[k - 1]) && !kCvStorage.count(T(f, head[k - 1]).text)) {
+      prog.accessor_returns.emplace(name, T(f, head[k - 1]).text);
+    }
   }
 
   void RecordFunction(const std::vector<size_t>& head, size_t& i,
@@ -416,6 +429,9 @@ struct StructureScanner {
       CollectRequires(head, &fn.requires_args);
       if (!fn.requires_args.empty()) prog.method_requires[qual] = fn.requires_args;
       MaybeRecordAccessor(head, paren, name);
+      if (HeadHas(head, "virtual") || HeadHas(head, "override")) {
+        prog.virtual_names.insert(name);
+      }
       prog.funcs.push_back(std::move(fn));
     }
     i = body_close;
@@ -443,6 +459,9 @@ struct StructureScanner {
         const std::string key = (cls.empty() ? mname : cls.back() + "::" + mname);
         if (!req.empty()) prog.method_requires[key] = req;
         MaybeRecordAccessor(head, paren, mname);
+        if (HeadHas(head, "virtual") || HeadHas(head, "override")) {
+          prog.virtual_names.insert(mname);
+        }
       }
       return;
     }
@@ -645,6 +664,16 @@ struct BodyWalker {
     return false;
   }
 
+  // A call site with the contexts open right now.
+  CallSite Site(const std::string& callee, int line) const {
+    CallSite c;
+    c.callee = callee;
+    c.line = line;
+    c.ctx = CurMask();
+    c.ctx_desc = CtxDesc();
+    return c;
+  }
+
   void OpenCtx(unsigned kind, const std::string& key, int line, std::string desc) {
     sc.back().ctxs.push_back(ActiveCtx{kind, key, line, std::move(desc), true});
   }
@@ -696,7 +725,16 @@ struct BodyWalker {
       if (k > 0 && IsIdent(f, k - 1)) {
         *name = T(f, k - 1).text + "()";
         auto it = prog.accessor_types.find(T(f, k - 1).text);
-        if (it != prog.accessor_types.end()) *type = it->second;
+        if (it != prog.accessor_types.end()) {
+          *type = it->second;
+        } else {
+          // Any other accessor: typed only when every parsed accessor of
+          // that name returns the same type.
+          auto [lo, hi] = prog.accessor_returns.equal_range(T(f, k - 1).text);
+          std::set<std::string> types;
+          for (auto r = lo; r != hi; ++r) types.insert(r->second);
+          if (types.size() == 1) *type = *types.begin();
+        }
       }
     }
   }
@@ -770,7 +808,7 @@ struct BodyWalker {
       const char* via = type_last == "ReadGuard"     ? "AcquireRead"
                         : type_last == "UpdateGuard" ? "AcquireUpdate"
                                                      : "MutexLock";
-      fn.calls.push_back(CallSite{via, line, CurMask(), CtxDesc()});
+      fn.calls.push_back(Site(via, line));
     }
     if (EpochScope() >= 0 && saw_ptr &&
         (type_last == "LayoutSnapshot" || type_last == "Pregion")) {
@@ -1019,7 +1057,7 @@ struct BodyWalker {
     // Context transitions on explicit acquire/release pairs.
     if (member) {
       if (callee == "Lock" && RecvIs(rname, rtype, "Spinlock")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSpin, rname, line,
                 "spinlock-held section ('" + rname + "'.Lock() at line " +
                     std::to_string(line) + ")");
@@ -1027,11 +1065,11 @@ struct BodyWalker {
       }
       if (callee == "Unlock" && RecvIs(rname, rtype, "Spinlock")) {
         CloseCtx(kCtxSpin, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
       if (callee == "WriteBegin" && RecvIs(rname, rtype, "SeqCount")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSeqWrite, rname, line,
                 "seqcount write section ('" + rname + "'.WriteBegin() at line " +
                     std::to_string(line) + ")");
@@ -1039,11 +1077,11 @@ struct BodyWalker {
       }
       if (callee == "WriteEnd" && RecvIs(rname, rtype, "SeqCount")) {
         CloseCtx(kCtxSeqWrite, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
       if (callee == "TryReadBegin" && RecvIs(rname, rtype, "SeqCount")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSeqRead, rname, line,
                 "seqcount read window ('" + rname + "'.TryReadBegin() at line " +
                     std::to_string(line) + ")");
@@ -1051,11 +1089,13 @@ struct BodyWalker {
       }
       if (callee == "ReadValidate" && RecvIs(rname, rtype, "SeqCount")) {
         CloseCtx(kCtxSeqRead, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
     }
-    fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+    CallSite c = Site(callee, line);
+    if (member && rtype != "auto" && !prog.virtual_names.count(callee)) c.recv_type = rtype;
+    fn.calls.push_back(std::move(c));
   }
 };
 

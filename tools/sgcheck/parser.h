@@ -18,8 +18,9 @@
 // explicit `x.Unlock()` anywhere closes the section — early-release
 // branches leave the remainder of the function unchecked (prefer RAII
 // guards, which track scope exactly); calls through function pointers,
-// templates instantiated with callable parameters, and virtual dispatch
-// resolve by name only.
+// templates instantiated with callable parameters, virtual dispatch, and
+// member calls whose receiver the parser cannot type resolve by name only.
+// A member call on a typed receiver resolves to that class's method.
 #ifndef TOOLS_SGCHECK_PARSER_H_
 #define TOOLS_SGCHECK_PARSER_H_
 
@@ -52,6 +53,9 @@ struct CallSite {
   int line = 0;
   unsigned ctx = 0;      // contexts open at the call
   std::string ctx_desc;  // e.g. "spinlock 'acclck_' held since line 12"
+  // Class of the receiver of a `x.f()` / `x->f()` / `a().f()` call when the
+  // parser could type it and `f` is never declared virtual; empty otherwise.
+  std::string recv_type;
 };
 
 struct FieldInfo {
@@ -87,6 +91,7 @@ struct FunctionInfo {
   bool may_block = false;
   std::string block_via;  // callee name that makes this function blocking
   int block_line = 0;
+  int block_next = -1;    // funcs index block_via resolved to (-1: a root)
 };
 
 struct SourceFile {
@@ -110,6 +115,12 @@ struct Program {
   std::map<std::string, std::vector<std::string>> method_requires;
   // accessor method name -> capability type it returns (lock(), layout_seq())
   std::map<std::string, std::string> accessor_types;
+  // zero-arg method name -> the class type it returns (files() -> FileTable),
+  // across every parsed class; used to type accessor-chain receivers
+  std::multimap<std::string, std::string> accessor_returns;
+  // method names declared virtual or override anywhere: their calls keep
+  // by-name resolution (the receiver's static type does not bound dispatch)
+  std::set<std::string> virtual_names;
 };
 
 // Pass 1: classes, fields, method annotations, function body ranges.

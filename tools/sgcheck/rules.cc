@@ -115,57 +115,76 @@ void TokenRules(const Program& prog, const Options& opt,
 // R1: sleep-in-atomic.
 // ---------------------------------------------------------------------------
 
+// Class part of a qualified function name ("ns::FileTable::Dup" ->
+// "FileTable"); empty for free functions.
+std::string ClassOf(const std::string& qual) {
+  const size_t cut = qual.rfind("::");
+  if (cut == std::string::npos) return "";
+  const std::string scope = qual.substr(0, cut);
+  const size_t cut2 = scope.rfind("::");
+  return cut2 == std::string::npos ? scope : scope.substr(cut2 + 2);
+}
+
 void SleepInAtomic(Program& prog, std::vector<Diag>& out) {
   std::multimap<std::string, size_t> by_name;
   for (size_t i = 0; i < prog.funcs.size(); ++i) {
     by_name.emplace(prog.funcs[i].name, i);
   }
 
+  // The definitions a call may reach. By unqualified name, narrowed to the
+  // receiver's class when the parser typed the receiver and that class
+  // defines the callee: `vfs_.files().Dup(f)` reaches FileTable::Dup, not
+  // Kernel::Dup. An untyped receiver, or a class with no parsed definition
+  // of the callee (an inherited method), keeps every same-named candidate.
+  auto candidates = [&](const CallSite& c) {
+    std::vector<size_t> found;
+    auto [lo, hi] = by_name.equal_range(c.callee);
+    if (!c.recv_type.empty()) {
+      for (auto it = lo; it != hi; ++it) {
+        if (ClassOf(prog.funcs[it->second].qual) == c.recv_type) found.push_back(it->second);
+      }
+      if (!found.empty()) return found;
+    }
+    for (auto it = lo; it != hi; ++it) found.push_back(it->second);
+    return found;
+  };
+  // Returns the funcs index the call blocks through, -1 for a blocking
+  // root, or -2 when the call cannot block (as far as is known so far).
+  auto blocks_via = [&](const CallSite& c) -> int {
+    if (kBlockingRoots.count(c.callee) > 0) return -1;
+    for (size_t i : candidates(c)) {
+      if (prog.funcs[i].may_block) return static_cast<int>(i);
+    }
+    return -2;
+  };
+
   // Fixpoint: a function may block if any call in its body is a blocking
-  // root or resolves (by name) to a function already known to block.
+  // root or resolves to a function already known to block.
   bool changed = true;
   while (changed) {
     changed = false;
     for (FunctionInfo& fn : prog.funcs) {
       if (fn.may_block) continue;
       for (const CallSite& c : fn.calls) {
-        bool blocks = kBlockingRoots.count(c.callee) > 0;
-        if (!blocks) {
-          auto [lo, hi] = by_name.equal_range(c.callee);
-          for (auto it = lo; it != hi; ++it) {
-            if (prog.funcs[it->second].may_block) {
-              blocks = true;
-              break;
-            }
-          }
-        }
-        if (blocks) {
-          fn.may_block = true;
-          fn.block_via = c.callee;
-          fn.block_line = c.line;
-          changed = true;
-          break;
-        }
+        const int via = blocks_via(c);
+        if (via == -2) continue;
+        fn.may_block = true;
+        fn.block_via = c.callee;
+        fn.block_line = c.line;
+        fn.block_next = via;
+        changed = true;
+        break;
       }
     }
   }
 
-  auto chain_for = [&](const std::string& callee) {
-    std::string chain = callee;
-    std::string cur = callee;
-    for (int depth = 0; depth < 8; ++depth) {
-      if (kBlockingRoots.count(cur)) break;
-      const FunctionInfo* next = nullptr;
-      auto [lo, hi] = by_name.equal_range(cur);
-      for (auto it = lo; it != hi; ++it) {
-        if (prog.funcs[it->second].may_block) {
-          next = &prog.funcs[it->second];
-          break;
-        }
-      }
-      if (next == nullptr || next->block_via.empty() || next->block_via == cur) break;
-      cur = next->block_via;
-      chain += " -> " + cur;
+  auto chain_for = [&](const CallSite& c, int via) {
+    std::string chain = c.callee;
+    for (int depth = 0; depth < 8 && via >= 0; ++depth) {
+      const FunctionInfo& next = prog.funcs[static_cast<size_t>(via)];
+      if (next.block_via.empty()) break;
+      chain += " -> " + next.block_via;
+      via = next.block_next;
     }
     return chain;
   };
@@ -179,18 +198,9 @@ void SleepInAtomic(Program& prog, std::vector<Diag>& out) {
     if (!prog.files[fn.file_idx].full) continue;
     for (const CallSite& c : fn.calls) {
       if ((c.ctx & kR1Mask) == 0) continue;
-      bool blocks = kBlockingRoots.count(c.callee) > 0;
-      if (!blocks) {
-        auto [lo, hi] = by_name.equal_range(c.callee);
-        for (auto it = lo; it != hi; ++it) {
-          if (prog.funcs[it->second].may_block) {
-            blocks = true;
-            break;
-          }
-        }
-      }
-      if (!blocks) continue;
-      const std::string chain = chain_for(c.callee);
+      const int via = blocks_via(c);
+      if (via == -2) continue;
+      const std::string chain = chain_for(c, via);
       std::string msg = "'" + c.callee + "' may block inside " + c.ctx_desc;
       if (chain != c.callee) msg += " (chain: " + chain + ")";
       out.push_back(Diag{fn.file, c.line, "sleep-in-atomic", std::move(msg)});
