@@ -432,7 +432,7 @@ StatResult FillStat(InodeTable& inodes, Inode* ip) {
   s.uid = ip->uid();
   s.gid = ip->gid();
   s.size = ip->Size();
-  s.nlink = ip->nlink;
+  s.nlink = ip->nlink.load(std::memory_order_relaxed);
   (void)inodes;
   return s;
 }
@@ -473,23 +473,16 @@ Result<std::string> Kernel::Getcwd(Proc& p) {
     Inode* at = inodes.Iget(p.cwd);
     std::string path;
     bool ok = true;
-    while (at != p.rootdir && at->parent != at) {
-      Inode* parent = inodes.Iget(at->parent);
+    while (at != p.rootdir && at->parent() != at) {
+      Inode* parent = inodes.Iget(at->parent());  // `at` pins its parent
       // Find our name in the parent (in-memory fs: a scan is fine).
-      std::string name;
-      for (const std::string& entry : parent->ListEntries()) {
-        auto child = parent->Lookup(entry);
-        if (child.ok() && child.value() == at) {
-          name = entry;
-          break;
-        }
-      }
-      if (name.empty()) {
+      auto name = parent->NameOf(at);
+      if (!name.ok()) {
         ok = false;  // disconnected (cwd was unlinked)
         inodes.Iput(parent);
         break;
       }
-      path.insert(0, "/" + name);
+      path.insert(0, "/" + name.value());
       inodes.Iput(at);
       at = parent;
     }

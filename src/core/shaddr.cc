@@ -25,6 +25,35 @@ std::atomic<u64> g_next_group_id{1};
 // /proc/stat lists it (count 0) before the first contention.
 obs::LatencyHisto& g_fupdsema_wait_ns = obs::Stats::Global().histo("core.fupdsema_wait_ns");
 
+// Inode references dropped under rupdlock_, Iput when this goes out of
+// scope: declared before the SpinGuard, it is destroyed after the unlock.
+// Iget is one fetch_add and may run under the spinlock, but the last Iput
+// of an inode takes the inode-table mutex (FdUpdateBracket::ReleaseLater
+// does the same for open files).
+class DeferredIputs {
+ public:
+  explicit DeferredIputs(InodeTable& inodes) : inodes_(inodes) {}
+  ~DeferredIputs() {
+    for (u32 i = 0; i < n_; ++i) {
+      inodes_.Iput(dropped_[i]);
+    }
+  }
+  DeferredIputs(const DeferredIputs&) = delete;
+  DeferredIputs& operator=(const DeferredIputs&) = delete;
+
+  void Add(Inode* ip) {
+    SG_CHECK(n_ < dropped_.size());
+    dropped_[n_++] = ip;
+  }
+
+ private:
+  InodeTable& inodes_;
+  // UpdateDir drops at most six: a stale member's pair, the two it
+  // replaces, and the master's pair.
+  std::array<Inode*, 6> dropped_;
+  u32 n_ = 0;
+};
+
 }  // namespace
 
 ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceManager& rm)
@@ -463,11 +492,8 @@ void ShaddrBlock::PublishFds(Proc& p, FdUpdateBracket& u) {
 // ----- scalar resources (under rupdlock_) -----
 
 void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
-  // Inode refcounts live under the inode-table mutex, which may block, so
-  // it must be taken BEFORE the spinlock (the reverse order slept inside
-  // rupdlock_ — caught by sgcheck sleep-in-atomic and lockdep).
   InodeTable& inodes = vfs_.inodes();
-  auto tbl = inodes.Acquire();
+  DeferredIputs dropped(inodes);
   SpinGuard g(rupdlock_);
   // Double-update check (generation form): refresh from the master before
   // applying our own change, so a concurrent chroot by another member is
@@ -475,25 +501,25 @@ void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
   if (LaneGet(resgen_.load(std::memory_order_relaxed), kLaneDir) !=
           LaneGet(p.p_resgen, kLaneDir) ||
       (p.p_flag.load(std::memory_order_acquire) & kPfSyncDir) != 0) {
-    inodes.IputLocked(p.cwd);
-    inodes.IputLocked(p.rootdir);
-    p.cwd = inodes.IgetLocked(cdir_);
-    p.rootdir = inodes.IgetLocked(rdir_);
+    dropped.Add(p.cwd);
+    dropped.Add(p.rootdir);
+    p.cwd = inodes.Iget(cdir_);
+    p.rootdir = inodes.Iget(rdir_);
   }
   if (new_cwd != nullptr) {
-    inodes.IputLocked(p.cwd);
+    dropped.Add(p.cwd);
     p.cwd = new_cwd;  // counted ref transferred from the caller
   }
   if (new_root != nullptr) {
-    inodes.IputLocked(p.rootdir);
+    dropped.Add(p.rootdir);
     p.rootdir = new_root;
   }
   // Copy to the master (swap the block's references) and bump the lane —
   // O(1) in group size; members notice via the word compare at entry.
-  inodes.IputLocked(cdir_);
-  inodes.IputLocked(rdir_);
-  cdir_ = inodes.IgetLocked(p.cwd);
-  rdir_ = inodes.IgetLocked(p.rootdir);
+  dropped.Add(cdir_);
+  dropped.Add(rdir_);
+  cdir_ = inodes.Iget(p.cwd);
+  rdir_ = inodes.Iget(p.rootdir);
   const u64 lane = BumpScalarLane(kLaneDir);
   p.p_resgen = LaneSet(p.p_resgen, kLaneDir, lane);
   p.p_flag.fetch_and(~kPfSyncDir, std::memory_order_acq_rel);
@@ -503,14 +529,13 @@ void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
 }
 
 void ShaddrBlock::PullDir(Proc& p) {
-  // Same lock order as UpdateDir: inode-table mutex first, spinlock inside.
   InodeTable& inodes = vfs_.inodes();
-  auto tbl = inodes.Acquire();
+  DeferredIputs dropped(inodes);  // as in UpdateDir
   SpinGuard g(rupdlock_);
-  inodes.IputLocked(p.cwd);
-  inodes.IputLocked(p.rootdir);
-  p.cwd = inodes.IgetLocked(cdir_);
-  p.rootdir = inodes.IgetLocked(rdir_);
+  dropped.Add(p.cwd);
+  dropped.Add(p.rootdir);
+  p.cwd = inodes.Iget(cdir_);
+  p.rootdir = inodes.Iget(rdir_);
   p.p_resgen =
       LaneSet(p.p_resgen, kLaneDir, LaneGet(resgen_.load(std::memory_order_relaxed), kLaneDir));
   p.p_flag.fetch_and(~kPfSyncDir, std::memory_order_acq_rel);

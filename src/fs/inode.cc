@@ -8,8 +8,13 @@
 
 namespace sg {
 
-Inode::Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid)
-    : ino_(ino), type_(type), mode_(mode), uid_(uid), gid_(gid) {}
+Inode::Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid, Inode* parent)
+    : ino_(ino),
+      type_(type),
+      parent_(parent == nullptr ? this : parent),
+      mode_(mode),
+      uid_(uid),
+      gid_(gid) {}
 
 Inode::~Inode() = default;
 
@@ -87,30 +92,68 @@ void Inode::Truncate() {
   data_.clear();
 }
 
-Result<Inode*> Inode::Lookup(const std::string& name) const {
+Result<Inode*> Inode::LookupRef(std::string_view name) {
   std::lock_guard<std::mutex> l(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     return Errno::kENOENT;
   }
+  // The entry's link is a reference, and dropping it needs mu_: the count
+  // is above zero until we unlock.
+  it->second->Ref();
   return it->second;
 }
 
-Status Inode::AddEntry(const std::string& name, Inode* child) {
+Status Inode::AddEntry(std::string_view name, Inode* child) {
   std::lock_guard<std::mutex> l(mu_);
-  auto [it, inserted] = entries_.emplace(name, child);
-  (void)it;
-  return inserted ? Status::Ok() : Status(Errno::kEEXIST);
+  if (removed_) {
+    return Errno::kENOENT;  // its entries would never be unlinked
+  }
+  if (!entries_.try_emplace(std::string(name), child).second) {
+    return Errno::kEEXIST;
+  }
+  child->Ref();  // before the link, so RefCount never sees a link without it
+  child->nlink.fetch_add(1, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
-Status Inode::RemoveEntry(const std::string& name) {
+Result<Inode*> Inode::RemoveEntry(std::string_view name, EntryKind kind) {
   std::lock_guard<std::mutex> l(mu_);
-  return entries_.erase(name) != 0 ? Status::Ok() : Status(Errno::kENOENT);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    return Errno::kENOENT;
+  }
+  Inode* child = it->second;
+  const bool dir = child->type() == InodeType::kDirectory;
+  if (kind == EntryKind::kNonDir && dir) {
+    return Errno::kEISDIR;
+  }
+  if (kind == EntryKind::kEmptyDir && !dir) {
+    return Errno::kENOTDIR;
+  }
+  if (kind == EntryKind::kEmptyDir && !child->RemoveIfEmpty()) {
+    return Errno::kENOTEMPTY;  // lock order: parent's mu_, then the child's
+  }
+  entries_.erase(it);
+  const u32 prev = child->nlink.fetch_sub(1, std::memory_order_relaxed);
+  SG_CHECK(prev > 0);
+  return child;  // with the link's reference
 }
 
-bool Inode::DirEmpty() const {
+Result<std::string> Inode::NameOf(const Inode* child) const {
   std::lock_guard<std::mutex> l(mu_);
-  return entries_.empty();
+  for (const auto& [name, ip] : entries_) {
+    if (ip == child) {
+      return name;
+    }
+  }
+  return Errno::kENOENT;
+}
+
+bool Inode::RemoveIfEmpty() {
+  std::lock_guard<std::mutex> l(mu_);
+  removed_ = entries_.empty();
+  return removed_;
 }
 
 std::vector<std::string> Inode::ListEntries() const {
@@ -149,75 +192,69 @@ InodeTable::InodeTable(u32 max_inodes) : max_inodes_(max_inodes) {}
 
 InodeTable::~InodeTable() = default;
 
-Result<Inode*> InodeTable::Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (table_.size() >= max_inodes_) {
-    return Errno::kENOSPC;
+Result<Inode*> InodeTable::Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid,
+                                 Inode* parent) {
+  Inode* raw;
+  {
+    MutexGuard l(mu_);
+    if (table_.size() >= max_inodes_) {
+      return Errno::kENOSPC;
+    }
+    auto ip = std::make_unique<Inode>(next_ino_++, type, static_cast<mode_t>(mode & kModeAll),
+                                      uid, gid, parent);
+    raw = ip.get();
+    table_.emplace(raw, std::move(ip));
   }
-  auto ip = std::make_unique<Inode>(next_ino_++, type, static_cast<mode_t>(mode & kModeAll), uid,
-                                    gid);
-  Inode* raw = ip.get();
-  table_.emplace(raw, std::make_pair(std::move(ip), 1u));
+  if (parent != nullptr) {
+    Iget(parent);  // dropped by IputFinal
+  }
   return raw;
 }
 
-std::unique_lock<std::mutex> InodeTable::Acquire() const {
-  lockdep::MaySleep("fs.itable.acquire");
-  return std::unique_lock<std::mutex>(mu_);
-}
-
 Inode* InodeTable::Iget(Inode* ip) {
-  auto l = Acquire();
-  return IgetLocked(ip);
-}
-
-void InodeTable::Iput(Inode* ip) {
-  auto l = Acquire();
-  IputLocked(ip);
-}
-
-Inode* InodeTable::IgetLocked(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end());
-  ++it->second.second;
+  ip->Ref();
   return ip;
 }
 
-void InodeTable::IputLocked(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end() && it->second.second > 0);
-  --it->second.second;
-  MaybeFree(ip);
+void InodeTable::Iput(Inode* ip) {
+  lockdep::MaySleep("fs.iput");  // the zero crossing takes mu_
+  if (ip->Unref()) {
+    IputFinal(ip);
+  }
 }
 
-void InodeTable::LinkInc(Inode* ip) {
-  std::lock_guard<std::mutex> l(mu_);
-  ++ip->nlink;
-}
-
-void InodeTable::LinkDec(Inode* ip) {
-  std::lock_guard<std::mutex> l(mu_);
-  SG_CHECK(ip->nlink > 0);
-  --ip->nlink;
-  MaybeFree(ip);
-}
-
-void InodeTable::MaybeFree(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end());
-  if (it->second.second == 0 && ip->nlink == 0) {
+void InodeTable::IputFinal(Inode* ip) {
+  // No holder and no link is left, and a new reference can only be taken
+  // from an existing one (or under the lock of a directory linking the
+  // inode): `ip` is ours alone. mu_ only unhooks it from the ownership map.
+  std::unique_ptr<Inode> dying;
+  {
+    MutexGuard l(mu_);
+    auto it = table_.find(ip);
+    SG_CHECK(it != table_.end());
+    dying = std::move(it->second);
     table_.erase(it);
+  }
+  if (dying->parent() != ip) {
+    Iput(dying->parent());
   }
 }
 
 u32 InodeTable::RefCount(const Inode* ip) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = table_.find(ip);
-  return it == table_.end() ? 0 : it->second.second;
+  // Diagnostic path: the map lookup makes a freed pointer read 0 instead of
+  // touching dead memory. A link's reference is taken before its nlink and
+  // dropped after it, and nlink is read first, so the difference never
+  // wraps (a racing AddEntry or RemoveEntry can only make it read high).
+  MutexGuard l(mu_);
+  if (table_.find(ip) == table_.end()) {
+    return 0;
+  }
+  const u32 links = ip->nlink.load(std::memory_order_acquire);
+  return ip->refs_.load(std::memory_order_acquire) - links;
 }
 
 u64 InodeTable::Count() const {
-  std::lock_guard<std::mutex> l(mu_);
+  MutexGuard l(mu_);
   return table_.size();
 }
 

@@ -5,17 +5,32 @@
 // directory can never vanish while any member might still synchronize to it
 // (§6.3). The inode table below provides exactly the iget/iput reference
 // discipline that scheme relies on.
+//
+// Lifetime: each inode carries an intrusive atomic count, like OpenFile.
+// Holders (descriptors, cwd/root, the share block's copies, path walks)
+// and directory links each own one reference, and a directory owns one on
+// its parent. Iget is one fetch_add and Iput one fetch_sub; the zero
+// crossing frees the inode, and only it and Alloc take the table mutex.
+// A name's link and its reference move together under the directory's own
+// lock (AddEntry/RemoveEntry), and a path walk takes the child's reference
+// under that same lock (LookupRef), so a walk never counts an inode whose
+// last link a racing unlink has already dropped.
 #ifndef SRC_FS_INODE_H_
 #define SRC_FS_INODE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/check.h"
+#include "base/mutex.h"
 #include "base/result.h"
+#include "base/thread_annotations.h"
 #include "base/types.h"
 
 namespace sg {
@@ -36,9 +51,16 @@ inline constexpr mode_t kModeAll = 0777;
 
 class Pipe;
 
+// What RemoveEntry may unlink, checked under the directory's lock.
+enum class EntryKind {
+  kNonDir,    // unlink(2): a directory is EISDIR
+  kEmptyDir,  // rmdir(2): a non-directory is ENOTDIR, a non-empty one ENOTEMPTY
+};
+
 class Inode {
  public:
-  Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid);
+  // `parent` null makes the inode its own parent (the root).
+  Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid, Inode* parent);
   Inode(const Inode&) = delete;
   Inode& operator=(const Inode&) = delete;
   ~Inode();
@@ -53,9 +75,10 @@ class Inode {
   gid_t gid() const;
   void set_owner(uid_t u, gid_t g);
 
-  // Link count (directory entries referencing this inode); guarded by the
-  // owning InodeTable's lock.
-  u32 nlink = 0;
+  // Link count: the directory entries naming this inode. Each link also
+  // owns one reference. Atomic because a file's hard links sit under
+  // different directories' locks.
+  std::atomic<u32> nlink{0};
 
   // --- Regular file data ---
   u64 Size() const;
@@ -67,16 +90,26 @@ class Inode {
   void Truncate();
 
   // --- Directory data ---
-  // Entries hold plain pointers; the link count (nlink) managed by the
-  // InodeTable keeps a referenced child alive.
-  Result<Inode*> Lookup(const std::string& name) const;
-  Status AddEntry(const std::string& name, Inode* child);
-  Status RemoveEntry(const std::string& name);
-  bool DirEmpty() const;
+  // Each entry owns its child's link: one nlink and one reference.
+  //
+  // Returns `name`'s child with a reference taken while this directory's
+  // lock still pins it; the caller Iputs it.
+  Result<Inode*> LookupRef(std::string_view name);
+  // Adds `name` and takes the child's link. The caller holds a reference
+  // on `child`. ENOENT once this directory has been removed.
+  Status AddEntry(std::string_view name, Inode* child);
+  // Removes `name` and drops the child's nlink, returning the child with
+  // the link's reference, which the caller Iputs. Two racing removals of
+  // one name: the loser gets ENOENT.
+  Result<Inode*> RemoveEntry(std::string_view name, EntryKind kind);
+  // The name under which `child` is linked here (a pointer compare; the
+  // child is not dereferenced), or ENOENT.
+  Result<std::string> NameOf(const Inode* child) const;
   std::vector<std::string> ListEntries() const;
 
-  // Parent directory ("..") — the root points at itself.
-  Inode* parent = nullptr;
+  // Parent directory (".."), pinned by a reference this directory holds
+  // until it is freed. The root points at itself.
+  Inode* parent() const { return parent_; }
 
   // --- Pipe ---
   void AttachPipe(std::unique_ptr<Pipe> p);
@@ -105,18 +138,41 @@ class Inode {
   bool synthetic() const { return static_cast<bool>(refresh_); }
 
  private:
+  friend class InodeTable;  // Iget/Iput ride Ref/Unref
+
+  // Takes a reference; the caller already holds one, or holds the lock of
+  // a directory linking this inode.
+  void Ref() {
+    const u32 prev = refs_.fetch_add(1, std::memory_order_relaxed);
+    SG_CHECK(prev > 0);  // a dead inode must not come back
+  }
+  // rmdir's check on the directory being removed, made under its parent's
+  // lock: if it is empty, marks it removed so no entry can be added after.
+  bool RemoveIfEmpty();
+
+  // Drops a reference; true at the zero crossing.
+  bool Unref() {
+    // acq_rel: the thread that frees sees every other holder's writes.
+    const u32 prev = refs_.fetch_sub(1, std::memory_order_acq_rel);
+    SG_CHECK(prev > 0);
+    return prev == 1;
+  }
+
   const ino_t ino_;
   const InodeType type_;
+  Inode* const parent_;
+  std::atomic<u32> refs_{1};  // holders + links; created referenced
 
   mutable std::mutex mu_;
   mode_t mode_;
   uid_t uid_;
   gid_t gid_;
-  std::vector<std::byte> data_;              // kRegular
-  std::map<std::string, Inode*> entries_;    // kDirectory
-  std::unique_ptr<Pipe> pipe_;               // kPipe
-  std::function<std::string()> gen_;         // synthetic kRegular (no mu_)
-  std::function<void()> refresh_;            // synthetic kDirectory (no mu_)
+  std::vector<std::byte> data_;                         // kRegular
+  std::map<std::string, Inode*, std::less<>> entries_;  // kDirectory
+  bool removed_ = false;                                // kDirectory: rmdir'd
+  std::unique_ptr<Pipe> pipe_;                          // kPipe
+  std::function<std::string()> gen_;                    // synthetic kRegular (no mu_)
+  std::function<void()> refresh_;                       // synthetic kDirectory (no mu_)
 };
 
 // Wanted access for permission checks.
@@ -126,7 +182,7 @@ enum class Access { kRead, kWrite, kExec };
 // bits, else other bits; uid 0 passes everything.
 bool Permits(const Inode& ip, uid_t uid, gid_t gid, Access want);
 
-// The system inode table: allocation, lookup, and reference counting.
+// The system inode table: allocation, ownership and reference counting.
 class InodeTable {
  public:
   explicit InodeTable(u32 max_inodes);
@@ -134,48 +190,35 @@ class InodeTable {
   InodeTable& operator=(const InodeTable&) = delete;
   ~InodeTable();
 
-  // Allocates a new inode with reference count 1 and nlink 0.
-  Result<Inode*> Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid);
+  // Allocates a new inode with one reference and nlink 0. A directory
+  // passes its `parent`, on which it holds a reference until it is freed;
+  // null makes the inode its own parent (the root).
+  Result<Inode*> Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid,
+                       Inode* parent = nullptr);
 
   // Takes an additional reference (paper: the shared block "has the count
   // bumped one ... this avoids any races whereby the process that changed
   // the resource exits before all other group members have had a chance to
-  // synchronize").
+  // synchronize"). One fetch_add: never blocks, so a spinlock holder may
+  // call it.
   Inode* Iget(Inode* ip);
 
-  // Drops a reference; the inode is destroyed when both the reference count
-  // and the link count reach zero.
+  // Drops a reference. The last one (no holder and no link left) frees the
+  // inode under the table mutex, so Iput may block: a spinlock holder
+  // defers it to after the unlock.
   void Iput(Inode* ip);
 
-  // Spin-safe refcounting. Iget/Iput take mu_, which may block, so a
-  // spinlock holder must not call them (sgcheck: sleep-in-atomic; lockdep
-  // reports the same at runtime). Callers that need to move inode
-  // references from inside a spinlock section take the table lock FIRST —
-  // mutex outside spinlock is the legal order — and use the *Locked forms
-  // within:
-  //
-  //   auto tbl = inodes.Acquire();   // may block (no spinlock held yet)
-  //   SpinGuard g(rupdlock_);
-  //   inodes.IputLocked(old);        // pure table ops, never blocks
-  std::unique_lock<std::mutex> Acquire() const;
-  Inode* IgetLocked(Inode* ip);  // caller holds the Acquire() lock
-  void IputLocked(Inode* ip);    // caller holds the Acquire() lock
-
+  // Holders only (links are not counted); 0 once the inode is freed.
   u32 RefCount(const Inode* ip) const;
   u64 Count() const;
 
-  // Adjusts nlink under the table lock (entries changed by the VFS layer).
-  void LinkInc(Inode* ip);
-  // Decrements nlink, destroying the inode if it becomes unreferenced.
-  void LinkDec(Inode* ip);
-
  private:
-  void MaybeFree(Inode* ip);  // caller holds mu_
+  void IputFinal(Inode* ip);  // the zero crossing
 
-  mutable std::mutex mu_;
-  u32 max_inodes_;
-  ino_t next_ino_ = 1;  // the root directory is allocated first and gets 1
-  std::map<const Inode*, std::pair<std::unique_ptr<Inode>, u32>> table_;  // inode -> (owner, refs)
+  mutable Mutex mu_;
+  const u32 max_inodes_;
+  ino_t next_ino_ SG_GUARDED_BY(mu_) = 1;  // the root directory is allocated first and gets 1
+  std::map<const Inode*, std::unique_ptr<Inode>> table_ SG_GUARDED_BY(mu_);  // ownership
 };
 
 }  // namespace sg

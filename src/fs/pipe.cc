@@ -1,11 +1,26 @@
 #include "fs/pipe.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "base/check.h"
 #include "sync/wait.h"
 
 namespace sg {
+
+// The ring holds [at, at + n) as at most two runs: up to the end of the
+// buffer, then from its start.
+void Pipe::CopyOut(u64 at, std::byte* out, u64 n) const {
+  const u64 first = std::min(n, kCapacity - at);
+  std::memcpy(out, buf_.data() + at, first);
+  std::memcpy(out + first, buf_.data(), n - first);
+}
+
+void Pipe::CopyIn(u64 at, const std::byte* src, u64 n) {
+  const u64 first = std::min(n, kCapacity - at);
+  std::memcpy(buf_.data() + at, src, first);
+  std::memcpy(buf_.data(), src + first, n - first);
+}
 
 Result<u64> Pipe::Read(std::byte* out, u64 len, SleepMode mode) {
   if (len == 0) {
@@ -23,9 +38,7 @@ Result<u64> Pipe::Read(std::byte* out, u64 len, SleepMode mode) {
       result = u64{0};  // EOF: drained and no writers left
     } else {
       const u64 n = std::min(len, size_);
-      for (u64 i = 0; i < n; ++i) {
-        out[i] = buf_[(head_ + i) % kCapacity];
-      }
+      CopyOut(head_, out, n);
       head_ = (head_ + n) % kCapacity;
       size_ -= n;
       result = n;
@@ -54,10 +67,7 @@ Result<u64> Pipe::Write(const std::byte* src, u64 len, SleepMode mode) {
         break;
       }
       const u64 n = std::min(len - written, kCapacity - size_);
-      const u64 tail = (head_ + size_) % kCapacity;
-      for (u64 i = 0; i < n; ++i) {
-        buf_[(tail + i) % kCapacity] = src[written + i];
-      }
+      CopyIn((head_ + size_) % kCapacity, src + written, n);
       size_ += n;
       written += n;
       cv_.notify_all();  // data for blocked readers

@@ -40,6 +40,11 @@ class Pipe {
   u64 BytesBuffered() const;
 
  private:
+  // Ring copies of `n` <= kCapacity bytes starting at ring offset `at`
+  // (caller holds mu_).
+  void CopyOut(u64 at, std::byte* out, u64 n) const;
+  void CopyIn(u64 at, const std::byte* src, u64 n);
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::byte> buf_;

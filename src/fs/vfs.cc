@@ -24,14 +24,16 @@ std::string_view NextComponent(std::string_view& rest) {
 Vfs::Vfs(u32 max_inodes, u32 max_files) : inodes_(max_inodes), files_(inodes_, max_files) {
   auto r = inodes_.Alloc(InodeType::kDirectory, 0755, 0, 0);
   SG_CHECK(r.ok());
-  root_ = r.value();
-  root_->parent = root_;       // ".." at the root stays at the root
-  inodes_.LinkInc(root_);      // the root is always linked
+  root_ = r.value();  // its own parent: ".." at the root stays at the root
+  // The root is always linked, though no directory names it.
+  root_->nlink.store(1, std::memory_order_relaxed);
+  inodes_.Iget(root_);
 }
 
 Vfs::~Vfs() {
-  inodes_.LinkDec(root_);
-  inodes_.Iput(root_);
+  root_->nlink.store(0, std::memory_order_relaxed);
+  inodes_.Iput(root_);  // the link
+  inodes_.Iput(root_);  // ours
 }
 
 Result<Inode*> Vfs::Namei(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path) {
@@ -59,23 +61,17 @@ Result<Inode*> Vfs::Namei(Inode* cwd, Inode* rootdir, const Cred& cred, std::str
       return Errno::kEACCES;
     }
     at->InvokeRefresh();  // synthetic dirs (procfs) re-populate before lookup
-    Inode* next;
-    if (comp == ".") {
-      next = at;
-    } else if (comp == "..") {
-      // Never climb above the process's root directory (chroot jail).
-      next = (at == rootdir) ? at : at->parent;
-    } else {
-      auto found = at->Lookup(std::string(comp));
-      if (!found.ok()) {
-        inodes_.Iput(at);
-        return found.error();
-      }
-      next = found.value();
+    if (comp == "." || (comp == ".." && at == rootdir)) {
+      continue;  // ".." never climbs above the process's root (chroot jail)
     }
-    next = inodes_.Iget(next);
+    // `at` pins its parent; a named child is counted under `at`'s lock.
+    Result<Inode*> next =
+        comp == ".." ? Result<Inode*>(inodes_.Iget(at->parent())) : at->LookupRef(comp);
     inodes_.Iput(at);
-    at = next;
+    if (!next.ok()) {
+      return next.error();
+    }
+    at = next.value();
   }
   if (at->type() == InodeType::kDirectory) {
     at->InvokeRefresh();  // resolving the dir itself (e.g. for ListDir)
@@ -159,13 +155,11 @@ Result<OpenFile*> Vfs::Open(Inode* cwd, Inode* rootdir, const Cred& cred, std::s
     ip = made.value();
     // A racing creator can beat us to the entry; retry as plain open.
     Status added = dp->AddEntry(leaf, ip);
+    inodes_.Iput(dp);
     if (!added.ok()) {
       inodes_.Iput(ip);
-      inodes_.Iput(dp);
       return Open(cwd, rootdir, cred, path, flags & ~kOpenCreat, mode, umask);
     }
-    inodes_.LinkInc(ip);
-    inodes_.Iput(dp);
   } else {
     return found.error();
   }
@@ -213,28 +207,22 @@ Status Vfs::Mkdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view
     inodes_.Iput(dp);
     return Errno::kEACCES;
   }
-  if (dp->Lookup(leaf).ok()) {
+  if (auto existing = dp->LookupRef(leaf); existing.ok()) {
+    inodes_.Iput(existing.value());
     inodes_.Iput(dp);
     return Errno::kEEXIST;
   }
   auto made = inodes_.Alloc(InodeType::kDirectory,
-                            static_cast<mode_t>(mode & ~umask & kModeAll), cred.uid, cred.gid);
+                            static_cast<mode_t>(mode & ~umask & kModeAll), cred.uid, cred.gid, dp);
   if (!made.ok()) {
     inodes_.Iput(dp);
     return made.error();
   }
   Inode* child = made.value();
-  child->parent = dp;
   Status added = dp->AddEntry(leaf, child);
-  if (!added.ok()) {
-    inodes_.Iput(child);
-    inodes_.Iput(dp);
-    return added;
-  }
-  inodes_.LinkInc(child);
-  inodes_.Iput(child);  // the directory entry (nlink) keeps it alive
+  inodes_.Iput(child);  // on success the directory entry's link keeps it alive
   inodes_.Iput(dp);
-  return Status::Ok();
+  return added;
 }
 
 Status Vfs::Link(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view existing,
@@ -266,9 +254,6 @@ Status Vfs::Link(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view 
     return Errno::kEACCES;
   }
   Status added = dp->AddEntry(leaf, ip);
-  if (added.ok()) {
-    inodes_.LinkInc(ip);
-  }
   inodes_.Iput(dp);
   inodes_.Iput(ip);
   return added;
@@ -289,19 +274,12 @@ Status Vfs::Unlink(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_vie
     inodes_.Iput(dp);
     return Errno::kEACCES;
   }
-  auto found = dp->Lookup(leaf);
-  if (!found.ok()) {
-    inodes_.Iput(dp);
-    return found.error();
-  }
-  Inode* ip = found.value();
-  if (ip->type() == InodeType::kDirectory) {
-    inodes_.Iput(dp);
-    return Errno::kEISDIR;  // use Rmdir
-  }
-  SG_CHECK(dp->RemoveEntry(leaf).ok());
-  inodes_.LinkDec(ip);  // open references keep the data alive until closed
+  auto removed = dp->RemoveEntry(leaf, EntryKind::kNonDir);  // a directory is EISDIR: use Rmdir
   inodes_.Iput(dp);
+  if (!removed.ok()) {
+    return removed.error();
+  }
+  inodes_.Iput(removed.value());  // the link; open references keep the data until closed
   return Status::Ok();
 }
 
@@ -312,27 +290,20 @@ Status Vfs::Rmdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view
     return dir.error();
   }
   Inode* dp = dir.value();
+  if (dp->synthetic()) {
+    inodes_.Iput(dp);
+    return Errno::kEPERM;
+  }
   if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
     inodes_.Iput(dp);
     return Errno::kEACCES;
   }
-  auto found = dp->Lookup(leaf);
-  if (!found.ok()) {
-    inodes_.Iput(dp);
-    return found.error();
-  }
-  Inode* ip = found.value();
-  if (ip->type() != InodeType::kDirectory) {
-    inodes_.Iput(dp);
-    return Errno::kENOTDIR;
-  }
-  if (!ip->DirEmpty()) {
-    inodes_.Iput(dp);
-    return Errno::kENOTEMPTY;
-  }
-  SG_CHECK(dp->RemoveEntry(leaf).ok());
-  inodes_.LinkDec(ip);
+  auto removed = dp->RemoveEntry(leaf, EntryKind::kEmptyDir);
   inodes_.Iput(dp);
+  if (!removed.ok()) {
+    return removed.error();
+  }
+  inodes_.Iput(removed.value());  // the link; a cwd reference keeps it until released
   return Status::Ok();
 }
 

@@ -26,84 +26,70 @@ Procfs::Procfs(Vfs& vfs, ProcLister procs, GroupLister groups)
   // resolution never sees a half-built tree. We keep our own counted
   // reference on every node we create (released on removal), so the raw
   // pointers in pid_nodes_/group_nodes_ stay valid.
-  auto made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
+  auto made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0, vfs_.root());
   SG_CHECK(made.ok());
   proc_dir_ = made.value();
-  proc_dir_->parent = vfs_.root();
   proc_dir_->SetRefreshHook([this] { Refresh(); });
 
   stat_file_ = MakeFile(proc_dir_, "stat", [] { return Stats::Global().RenderText(); });
 
-  made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
+  made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0, proc_dir_);
   SG_CHECK(made.ok());
   share_dir_ = made.value();
-  share_dir_->parent = proc_dir_;
   share_dir_->SetRefreshHook([this] { Refresh(); });
   SG_CHECK(proc_dir_->AddEntry("share", share_dir_).ok());
-  tab.LinkInc(share_dir_);
 
   SG_CHECK(vfs_.root()->AddEntry("proc", proc_dir_).ok());
-  tab.LinkInc(proc_dir_);
 }
 
 Procfs::~Procfs() {
   MutexGuard l(refresh_mu_);
-  InodeTable& tab = vfs_.inodes();
   for (auto& [name, ip] : extra_files_) {
-    RemoveFile(proc_dir_, name, ip);
+    RemoveNode(proc_dir_, name, ip);
   }
   extra_files_.clear();
   for (auto& [pid, node] : pid_nodes_) {
-    RemoveFile(node.dir, "status", node.status);
-    SG_CHECK(proc_dir_->RemoveEntry(std::to_string(pid)).ok());
-    tab.LinkDec(node.dir);
-    tab.Iput(node.dir);
+    RemoveNode(node.dir, "status", node.status);
+    RemoveNode(proc_dir_, std::to_string(pid), node.dir);
   }
   pid_nodes_.clear();
   for (auto& [gid, ip] : group_nodes_) {
-    RemoveFile(share_dir_, std::to_string(gid), ip);
+    RemoveNode(share_dir_, std::to_string(gid), ip);
   }
   group_nodes_.clear();
-  RemoveFile(proc_dir_, "stat", stat_file_);
-  SG_CHECK(proc_dir_->RemoveEntry("share").ok());
-  tab.LinkDec(share_dir_);
-  tab.Iput(share_dir_);
-  SG_CHECK(vfs_.root()->RemoveEntry("proc").ok());
-  tab.LinkDec(proc_dir_);
-  tab.Iput(proc_dir_);
+  RemoveNode(proc_dir_, "stat", stat_file_);
+  RemoveNode(proc_dir_, "share", share_dir_);
+  RemoveNode(vfs_.root(), "proc", proc_dir_);
 }
 
 Inode* Procfs::MakeDir(Inode* parent, const std::string& name) {
-  InodeTable& tab = vfs_.inodes();
-  auto made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
+  auto made = vfs_.inodes().Alloc(InodeType::kDirectory, 0555, 0, 0, parent);
   SG_CHECK(made.ok());
   Inode* dir = made.value();
-  dir->parent = parent;
   // Marks the dir synthetic (user link/unlink inside it is EPERM) and keeps
   // its entries fresh when a path walk enters it directly.
   dir->SetRefreshHook([this] { Refresh(); });
   SG_CHECK(parent->AddEntry(name, dir).ok());
-  tab.LinkInc(dir);
   return dir;
 }
 
 Inode* Procfs::MakeFile(Inode* parent, const std::string& name,
                         std::function<std::string()> gen) {
-  InodeTable& tab = vfs_.inodes();
-  auto made = tab.Alloc(InodeType::kRegular, 0444, 0, 0);
+  auto made = vfs_.inodes().Alloc(InodeType::kRegular, 0444, 0, 0);
   SG_CHECK(made.ok());
   Inode* ip = made.value();
   ip->SetGenerator(std::move(gen));  // before publication: immutable after
   SG_CHECK(parent->AddEntry(name, ip).ok());
-  tab.LinkInc(ip);
   return ip;
 }
 
-void Procfs::RemoveFile(Inode* parent, const std::string& name, Inode* ip) {
+void Procfs::RemoveNode(Inode* parent, const std::string& name, Inode* ip) {
   InodeTable& tab = vfs_.inodes();
-  SG_CHECK(parent->RemoveEntry(name).ok());
-  tab.LinkDec(ip);  // an open descriptor keeps the inode alive until close
-  tab.Iput(ip);     // our creation reference
+  auto removed = parent->RemoveEntry(
+      name, ip->type() == InodeType::kDirectory ? EntryKind::kEmptyDir : EntryKind::kNonDir);
+  SG_CHECK(removed.ok() && removed.value() == ip);
+  tab.Iput(ip);  // the link; an open descriptor keeps the inode alive until close
+  tab.Iput(ip);  // our creation reference
 }
 
 void Procfs::AddRootFile(const std::string& name, std::function<std::string()> gen) {
@@ -114,7 +100,6 @@ void Procfs::AddRootFile(const std::string& name, std::function<std::string()> g
 
 void Procfs::Refresh() {
   MutexGuard l(refresh_mu_);
-  InodeTable& tab = vfs_.inodes();
 
   // --- /proc/<pid> ---
   const std::vector<ProcStatus> procs = procs_();
@@ -127,10 +112,8 @@ void Procfs::Refresh() {
       ++it;
       continue;
     }
-    RemoveFile(it->second.dir, "status", it->second.status);
-    SG_CHECK(proc_dir_->RemoveEntry(std::to_string(it->first)).ok());
-    tab.LinkDec(it->second.dir);
-    tab.Iput(it->second.dir);
+    RemoveNode(it->second.dir, "status", it->second.status);
+    RemoveNode(proc_dir_, std::to_string(it->first), it->second.dir);
     it = pid_nodes_.erase(it);
   }
   for (const auto& [pid, unused] : live) {
@@ -155,7 +138,7 @@ void Procfs::Refresh() {
       ++it;
       continue;
     }
-    RemoveFile(share_dir_, std::to_string(it->first), it->second);
+    RemoveNode(share_dir_, std::to_string(it->first), it->second);
     it = group_nodes_.erase(it);
   }
   for (const auto& [gid, unused] : live_groups) {

@@ -94,7 +94,9 @@ class Procfs {
  private:
   Inode* MakeDir(Inode* parent, const std::string& name);
   Inode* MakeFile(Inode* parent, const std::string& name, std::function<std::string()> gen);
-  void RemoveFile(Inode* parent, const std::string& name, Inode* ip);
+  // Unlinks `ip` (a file, or an emptied directory) and drops our creation
+  // reference on it.
+  void RemoveNode(Inode* parent, const std::string& name, Inode* ip);
 
   std::string RenderStatus(i32 pid) const;
   std::string RenderGroup(u64 gid) const;

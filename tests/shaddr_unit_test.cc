@@ -218,14 +218,15 @@ TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
   rig.DestroyProc(*b);
 }
 
-// Regression (the sgcheck find): UpdateDir/PullDir used to call Iget/Iput —
-// which take the inode-table mutex and may block — while holding rupdlock_,
-// a spinlock. The fix takes the table mutex FIRST (InodeTable::Acquire,
-// which reports itself to lockdep as a sleep site) and runs the *Locked
-// forms inside the spinlock, so the old order now fails three ways: sgcheck
-// sleep-in-atomic statically, lockdep's sleep-under-spin check dynamically
-// in this very test, and tsan on the concurrent section below.
-TEST(ShaddrUnit, DirUpdateTakesInodeTableMutexBeforeRupdlock) {
+// Regression (the sgcheck find): UpdateDir/PullDir used to call Iput —
+// whose last reference takes the inode-table mutex and may block — while
+// holding rupdlock_, a spinlock. Iget is one fetch_add and runs under the
+// spinlock; the references the update drops are Iput after the unlock
+// (Iput reports itself to lockdep as a sleep site). Dropping one under the
+// spinlock fails three ways: sgcheck sleep-in-atomic statically, lockdep's
+// sleep-under-spin check dynamically in this very test, and tsan on the
+// concurrent section below.
+TEST(ShaddrUnit, DirUpdateDropsInodeRefsAfterRupdlock) {
   Rig rig;
   auto a = rig.MakeProc(1);
   auto b = rig.MakeProc(2);
@@ -252,9 +253,9 @@ TEST(ShaddrUnit, DirUpdateTakesInodeTableMutexBeforeRupdlock) {
     EXPECT_EQ(b->rootdir, rig.vfs.root());
     EXPECT_EQ(rig.vfs.inodes().RefCount(sub), 3u);
 
-    // Concurrent updater/puller: every iteration crosses the inode-table
-    // mutex + rupdlock_ pair, so a lock-order regression trips lockdep (and
-    // tsan sees any unlocked refcount traffic).
+    // Concurrent updater/puller: every iteration moves references under
+    // rupdlock_ and drops the old ones after it, so an Iput moved back
+    // inside trips lockdep (and tsan sees any unsynchronized traffic).
     std::thread updater([&] {
       for (int i = 0; i < 100; ++i) {
         Inode* next = rig.vfs.inodes().Iget(i % 2 == 0 ? rig.vfs.root() : sub);
