@@ -9,6 +9,9 @@
 //   * PING-PONG — two tasks alternating, counting round trips (on a small
 //     host this is scheduling-bound for every mechanism, so the uncontended
 //     numbers plus the syscalls-per-round counter carry the §3 argument).
+#include <atomic>
+#include <thread>
+
 #include "bench/bench_util.h"
 
 namespace sg {
@@ -86,7 +89,8 @@ BENCHMARK(BM_AtomicMemoryOp);
 
 // One plain simulated load of a resident page: the TLB hit path every user
 // access takes (§6.2). The page is faulted in before the clock starts, so
-// each iteration is a translate-and-access under the TLB lock.
+// each iteration is a translate-and-access on the owner path (hw/tlb.h): a
+// pin store, a sequence-checked entry read and a release store, no lock.
 void BM_TlbHitLoad(benchmark::State& state) {
   Kernel k;
   u64 hits = 0;
@@ -105,6 +109,44 @@ void BM_TlbHitLoad(benchmark::State& state) {
 }
 
 BENCHMARK(BM_TlbHitLoad)->UseRealTime();
+
+// The other side of BM_TlbHitLoad: one FlushAll of a process's TLB issued
+// by a host thread that is not its owner, while the owner loads a word in
+// a loop (refaulting after every flush). This is what a shootdown pays per
+// member: the lock, the host barrier (hw/tlb.h) and the wait for the
+// owner's in-flight access.
+void BM_RemoteFlushWithRunningOwner(benchmark::State& state) {
+  Kernel k;
+  std::atomic<Tlb*> tlb{nullptr};
+  std::atomic<bool> stop{false};
+  auto pid = k.Launch([&](Env& env, long) {
+    const vaddr_t word = env.Mmap(kPageSize);
+    env.Store32(word, 1);
+    tlb.store(&env.proc().as.tlb(), std::memory_order_release);
+    while (!stop.load(std::memory_order_relaxed)) {
+      benchmark::DoNotOptimize(env.Load32(word));
+    }
+  });
+  if (!pid.ok()) {
+    std::abort();
+  }
+  while (tlb.load(std::memory_order_acquire) == nullptr) {
+    std::this_thread::yield();
+  }
+  Tlb& t = *tlb.load(std::memory_order_acquire);
+  const u64 misses0 = t.misses();
+  for (auto _ : state) {
+    t.FlushAll();
+  }
+  const u64 misses = t.misses() - misses0;
+  stop.store(true, std::memory_order_relaxed);
+  k.WaitAll();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["owner_refills_per_flush"] =
+      static_cast<double>(misses) / static_cast<double>(state.iterations());
+}
+
+BENCHMARK(BM_RemoteFlushWithRunningOwner)->UseRealTime();
 
 // ---- ping-pong round trips between two tasks ----
 //
@@ -178,9 +220,11 @@ void BM_PingPongPipe(benchmark::State& state) {
   Kernel k;
   for (auto _ : state) {
     RunSim(k, [&](Env& env) {
-      int a_rd, a_wr, b_rd, b_wr;
-      env.Pipe(&a_rd, &a_wr);
-      env.Pipe(&b_rd, &b_wr);
+      int a_rd = -1, a_wr = -1, b_rd = -1, b_wr = -1;
+      if (env.Pipe(&a_rd, &a_wr) != 0 || env.Pipe(&b_rd, &b_wr) != 0) {
+        state.SkipWithError("pipe failed");
+        return;
+      }
       env.Fork([a_rd, b_wr](Env& c, long) {
         std::byte t{0};
         for (int i = 0; i < kRounds; ++i) {

@@ -145,6 +145,9 @@ void Kernel::StartProcThread(Proc* c, UserFn fn, long arg) {
 void Kernel::ProcMain(Proc* p) {
   SetCurrentExecutionContext(p);
   obs::CurrentTraceContext().pid = p->pid;
+  // This thread runs the process: its user accesses take the TLB's
+  // lock-free owner path (hw/tlb.h) wherever the host supports it.
+  (void)p->as.tlb().BindOwner();
   p->AcquireCpuInitial();
   p->state.store(ProcState::kActive, std::memory_order_release);
   int status = 0;
@@ -156,6 +159,7 @@ void Kernel::ProcMain(Proc* p) {
     signal = t.signal;
   }
   TerminateProcess(*p, status, signal);
+  p->as.tlb().UnbindOwner();
   SetCurrentExecutionContext(nullptr);
   obs::CurrentTraceContext().pid = 0;
 }

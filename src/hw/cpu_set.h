@@ -31,9 +31,7 @@ class CpuSet {
   // that touches the affected space misses and blocks on the shared read
   // lock (held for update by the caller).
   void SynchronousFlush(std::span<Tlb* const> tlbs) {
-    for (Tlb* t : tlbs) {
-      t->FlushAll();
-    }
+    Tlb::FlushAllOf(tlbs);
     shootdowns_.fetch_add(1, std::memory_order_relaxed);
     ipis_.fetch_add(ncpus_, std::memory_order_relaxed);
     SG_OBS_INC("tlb.shootdowns");

@@ -14,7 +14,8 @@ namespace sg {
 namespace {
 
 // One fault-resolution attempt; HandleFault wraps it with the reclaim loop.
-Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write);
+// A resolution that needs a new frame takes `*reserve` when it is nonzero.
+Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write, pfn_t* reserve);
 
 // Lockless lookup attempts before falling back to the ReadGuard path. Two
 // retries absorb back-to-back layout bumps (e.g. an sbrk racing an mmap);
@@ -23,30 +24,44 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write);
 constexpr int kLocklessAttempts = 3;
 
 // ENOMEM reclaim attempts before the fault gives up. Each round steals up
-// to 64 pages; if 16 rounds of successful stealing still cannot hold a
-// frame long enough to finish one resolution, other faulting members are
-// re-resolving frames as fast as we free them and looping further would
-// livelock (the bug this cap fixes), so kENOMEM surfaces to the caller.
+// to 64 pages and the faulter keeps one free frame for its next attempt,
+// so other faulting members cannot take every frame the round freed; a
+// resolution that still fails 16 times is refused for a reason reclaim
+// cannot cure (the group's page cap), and looping further would livelock,
+// so kENOMEM surfaces to the caller.
 constexpr int kMaxReclaimRetries = 16;
 
 }  // namespace
 
 Status HandleFault(AddressSpace& as, vaddr_t va, bool want_write) {
+  pfn_t reserve = 0;  // a frame kept from our own reclaim round
+  Status st = Status::Ok();
   for (int attempt = 0;; ++attempt) {
-    Status st = HandleFaultOnce(as, va, want_write);
-    if (st.error() != Errno::kENOMEM) {
-      return st;
+    st = HandleFaultOnce(as, va, want_write, &reserve);
+    if (st.error() != Errno::kENOMEM || attempt >= kMaxReclaimRetries) {
+      break;  // done, or bounded: see kMaxReclaimRetries
     }
-    if (attempt >= kMaxReclaimRetries) {
-      return st;  // bounded: see kMaxReclaimRetries
-    }
-    // Out of frames: wake the pager against our own visible image and
-    // retry; give up only when nothing could be stolen.
+    // Out of frames: wake the pager against our own visible image, keep a
+    // free frame for the retry, and give up only when nothing could be
+    // stolen and no frame is free. A round can steal nothing while frames
+    // are free: another member's reclaim emptied the image just before.
     SG_OBS_INC("vm.fault.reclaim_retries");
-    if (ReclaimPages(as, 64) == 0) {
-      return st;
+    const u64 stolen = ReclaimPages(as, 64);
+    bool kept = false;
+    if (reserve == 0) {
+      if (auto frame = as.mem().AllocFrame(); frame.ok()) {
+        reserve = frame.value();
+        kept = true;
+      }
+    }
+    if (stolen == 0 && !kept) {
+      break;
     }
   }
+  if (reserve != 0) {
+    as.mem().Unref(reserve);  // the retry found the page resolved or needed none
+  }
+  return st;
 }
 
 namespace {
@@ -60,9 +75,9 @@ bool ProtAllows(const Pregion& pr, bool want_write) {
 // BEFORE the insert — for a shared pregion it must drop every member's
 // stale translation so their next access refaults onto the new frame.
 template <typename FlushFn>
-Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write,
+Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write, pfn_t* reserve,
                      FlushFn&& flush_members) {
-  auto res = pr.region->Resolve(pr.PageIndex(va), want_write);
+  auto res = pr.region->Resolve(pr.PageIndex(va), want_write, reserve);
   if (!res.ok()) {
     return res.status();
   }
@@ -93,7 +108,8 @@ Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write,
 // Suppressed: the guard appears only on the fallback path and the pregion
 // lock is taken through a pointer — shapes clang's analysis cannot model.
 // The runtime lockdep validator covers these paths instead.
-Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THREAD_SAFETY_ANALYSIS {
+Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write,
+                       pfn_t* reserve) SG_NO_THREAD_SAFETY_ANALYSIS {
   as.faults.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("vm.faults");
   obs::Trace(obs::TraceKind::kPageFault, va, want_write ? 1 : 0);
@@ -106,7 +122,7 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     }
     // A private COW break needs no cross-member flush; the insert below
     // replaces our own stale entry.
-    return ResolveAndMap(as, *pr, va, want_write, [](u64) {});
+    return ResolveAndMap(as, *pr, va, want_write, reserve, [](u64) {});
   }
 
   SharedSpace* ss = as.shared();
@@ -133,9 +149,6 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     // translate to a freed frame.
     SharedSpace::EpochGuard epoch(*ss);
     const LayoutSnapshot* snap = ss->layout();
-    // sgcheck:allow(sleep-in-atomic): §4h — the lookup reads pregion bounds
-    // via the region mutex, a leaf lock with O(1) holders; a bounded stall
-    // under the epoch pin only delays reclaim, which AwaitQuiescent tolerates.
     if (Pregion* pr = as.FindSharedFast(*snap, va, s0); pr != nullptr) {
       if (!ProtAllows(*pr, want_write)) {
         st = Errno::kEFAULT;
@@ -150,7 +163,7 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
         // sgcheck:allow(sleep-in-atomic): §4h — resolve takes the region
         // mutex (leaf) and may touch swap via the slot-ownership protocol;
         // the epoch pin is expected to span the whole resolve+flush+recheck.
-        st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
+        st = ResolveAndMap(as, *pr, va, want_write, reserve, [&](u64 vpn) {
           // Frame change published to every member BEFORE the seqcount
           // re-check: a membership/layout change that could widen the
           // member set forces a retry, never a missed invalidation.
@@ -196,10 +209,10 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     return Errno::kEFAULT;
   }
   if (!shared_pr) {
-    return ResolveAndMap(as, *pr, va, want_write, [](u64) {});
+    return ResolveAndMap(as, *pr, va, want_write, reserve, [](u64) {});
   }
   MutexGuard pl(pr->lock);
-  return ResolveAndMap(as, *pr, va, want_write,
+  return ResolveAndMap(as, *pr, va, want_write, reserve,
                        [&](u64 vpn) { ss->FlushPageAllMembers(vpn); });
 }
 

@@ -3,11 +3,14 @@
 // fault path of §6.2 (take the shared read lock, scan private pregions then
 // shared, resolve the page, refill the TLB).
 //
-// Access atomicity: the byte transfer runs under Tlb::WithEntry, so a
+// Access atomicity: the byte transfer runs inside Tlb::WithEntry, so a
 // concurrent cross-processor shootdown orders strictly before or after any
 // in-flight access — exactly the guarantee the hardware TLB gives a real
-// kernel. After a shootdown, the next access misses, faults, and blocks on
-// the shared read lock until the updater releases it.
+// kernel. The process's own thread translates with no locked instruction
+// (a pin word and a host barrier on the flushing side, hw/tlb.h); any other
+// thread translates under the TLB lock. After a shootdown, the next access
+// misses, faults, and blocks on the shared read lock until the updater
+// releases it.
 #ifndef SRC_VM_ACCESS_H_
 #define SRC_VM_ACCESS_H_
 

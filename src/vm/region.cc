@@ -1,6 +1,7 @@
 #include "vm/region.h"
 
 #include <cstring>
+#include <utility>
 
 #include "base/check.h"
 #include "hw/swap.h"
@@ -21,9 +22,8 @@ const char* RegionTypeName(RegionType t) {
   return "?";
 }
 
-Region::Region(PhysMem& mem, RegionType type, u64 pages) : mem_(mem), type_(type) {
-  ptes_.resize(pages);
-}
+Region::Region(PhysMem& mem, RegionType type, u64 pages)
+    : mem_(mem), type_(type), ptes_(pages), pages_(pages) {}
 
 std::shared_ptr<Region> Region::Alloc(PhysMem& mem, RegionType type, u64 pages) {
   return std::shared_ptr<Region>(new Region(mem, type, pages));
@@ -89,7 +89,14 @@ void Region::SetCharge(PageCharge* charge) {
   charge_ = charge;
 }
 
-Result<PageResolution> Region::Resolve(u64 idx, bool want_write) {
+Result<pfn_t> Region::NewFrame(pfn_t* reserve) {
+  if (reserve != nullptr && *reserve != 0) {
+    return std::exchange(*reserve, 0);
+  }
+  return mem_.AllocFrame();
+}
+
+Result<PageResolution> Region::Resolve(u64 idx, bool want_write, pfn_t* reserve) {
   std::lock_guard<std::mutex> l(lock_);
   if (idx >= ptes_.size()) {
     return Errno::kEFAULT;
@@ -110,7 +117,7 @@ Result<PageResolution> Region::Resolve(u64 idx, bool want_write) {
     if (charge_ != nullptr && !charge_->TryChargePages(1)) {
       return Errno::kENOMEM;
     }
-    auto frame = mem_.AllocFrame();
+    auto frame = NewFrame(reserve);
     if (!frame.ok()) {
       if (charge_ != nullptr) {
         charge_->UnchargePages(1);
@@ -139,7 +146,7 @@ Result<PageResolution> Region::Resolve(u64 idx, bool want_write) {
       pte.cow = false;
       return PageResolution{pte.pfn, true, false};
     }
-    auto frame = mem_.AllocFrame();
+    auto frame = NewFrame(reserve);
     if (!frame.ok()) {
       return frame.error();
     }
@@ -189,6 +196,7 @@ Status Region::GrowTo(u64 new_pages) {
     return Errno::kEINVAL;
   }
   ptes_.resize(new_pages);
+  pages_.store(new_pages, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -207,6 +215,7 @@ Status Region::ShrinkTo(u64 new_pages) {
     }
   }
   ptes_.resize(new_pages);
+  pages_.store(new_pages, std::memory_order_release);
   if (charge_ != nullptr && freed != 0) {
     charge_->UnchargePages(freed);
   }

@@ -15,6 +15,7 @@
 #ifndef SRC_VM_REGION_H_
 #define SRC_VM_REGION_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -79,15 +80,15 @@ class Region {
 
   RegionType type() const { return type_; }
 
-  u64 pages() const {
-    std::lock_guard<std::mutex> l(lock_);
-    return ptes_.size();
-  }
+  // Lock-free: the fault path's pregion lookup reads it on every refill.
+  u64 pages() const { return pages_.load(std::memory_order_acquire); }
 
   // Resolves page `idx` for an access, allocating a zero frame on first
   // touch and breaking copy-on-write when `want_write`. kEFAULT if the index
-  // is out of range; kENOMEM if physical memory is exhausted.
-  Result<PageResolution> Resolve(u64 idx, bool want_write);
+  // is out of range; kENOMEM if physical memory is exhausted. A nonzero
+  // `*reserve` is a zeroed frame the caller owns: a resolution that needs a
+  // new frame takes it (and clears `*reserve`) instead of allocating.
+  Result<PageResolution> Resolve(u64 idx, bool want_write, pfn_t* reserve = nullptr);
 
   // Grows the region to `new_pages` (demand-zero). kEINVAL if shrinking.
   Status GrowTo(u64 new_pages);
@@ -150,6 +151,9 @@ class Region {
  private:
   Region(PhysMem& mem, RegionType type, u64 pages);
 
+  // A zeroed frame: `*reserve` if the caller passed one, else a new one.
+  Result<pfn_t> NewFrame(pfn_t* reserve);
+
   // Steals one page (caller holds lock_, preconditions checked). Returns
   // false if the swap device is full.
   template <typename FlushFn>
@@ -159,6 +163,9 @@ class Region {
   RegionType type_;
   mutable std::mutex lock_;
   std::vector<Pte> ptes_;
+  // ptes_.size(): set by the constructor, stored under lock_ by GrowTo and
+  // ShrinkTo, read without it by pages().
+  std::atomic<u64> pages_{0};
   u64 clock_hand_ = 0;  // pager sweep position
 
   // Resident-page accountant (guarded by lock_); see SetCharge.

@@ -145,11 +145,7 @@ class SharedSpace {
   // an EpochGuard pinning `l`. The flush is published BEFORE the caller's
   // seqcount re-check, so a layout/membership change that could widen the
   // member set forces a retry rather than a missed invalidation.
-  static void FlushPageAll(const LayoutSnapshot& l, u64 vpn) {
-    for (Tlb* t : l.tlbs) {
-      t->FlushPage(vpn);
-    }
-  }
+  static void FlushPageAll(const LayoutSnapshot& l, u64 vpn) { Tlb::FlushPageOf(l.tlbs, vpn); }
 
   // ----- locked scans (read side suffices) -----
 
@@ -254,9 +250,7 @@ class SharedSpace {
   // the new frame becomes visible. Read side suffices — the page table
   // entry itself is guarded by the region lock.
   void FlushPageAllMembers(u64 vpn) SG_REQUIRES_SHARED(lock_) {
-    for (Tlb* t : member_tlbs_) {
-      t->FlushPage(vpn);
-    }
+    Tlb::FlushPageOf(member_tlbs_, vpn);
   }
 
   CpuSet& cpus() { return cpus_; }

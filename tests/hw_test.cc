@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -202,9 +203,10 @@ TEST(Tlb, StatsCount) {
   EXPECT_EQ(tlb.misses(), 1u);
 }
 
-TEST(Tlb, CountersExactUnderConcurrentFlushes) {
-  // The counters are plain fields under the TLB lock: an owner translating
-  // while a remote CPU storms shootdowns must lose no increment.
+// An accessor translating while a remote CPU storms shootdowns must lose no
+// counter increment. `bind` selects the owner path (the accessor thread is
+// the TLB's bound owner) or the locked path.
+void CheckCountersExactUnderConcurrentFlushes(bool bind) {
   Tlb tlb(64);
   constexpr u64 kAccesses = 200000;
   std::atomic<bool> done{false};
@@ -220,19 +222,158 @@ TEST(Tlb, CountersExactUnderConcurrentFlushes) {
     }
   });
   u64 seen_hits = 0;
-  for (u64 i = 0; i < kAccesses; ++i) {
-    const u64 vpn = i % 8;
-    if (tlb.WithEntry(vpn, false, [&](pfn_t pfn) { EXPECT_EQ(pfn, vpn + 100); })) {
-      ++seen_hits;
-    } else {
-      tlb.Insert(vpn, vpn + 100, true);
+  std::thread accessor([&] {
+    if (bind) {
+      EXPECT_TRUE(tlb.BindOwner());
     }
-  }
+    for (u64 i = 0; i < kAccesses; ++i) {
+      const u64 vpn = i % 8;
+      if (tlb.WithEntry(vpn, false, [&](pfn_t pfn) { EXPECT_EQ(pfn, vpn + 100); })) {
+        ++seen_hits;
+      } else {
+        tlb.Insert(vpn, vpn + 100, true);
+      }
+    }
+    tlb.UnbindOwner();
+  });
+  accessor.join();
   done.store(true, std::memory_order_release);
   flusher.join();
   EXPECT_EQ(tlb.hits(), seen_hits);
   EXPECT_EQ(tlb.hits() + tlb.misses(), kAccesses);
   EXPECT_EQ(tlb.flushes(), flush_calls);
+}
+
+TEST(Tlb, CountersExactUnderConcurrentFlushes) { CheckCountersExactUnderConcurrentFlushes(false); }
+
+TEST(Tlb, CountersExactUnderConcurrentFlushesWithBoundOwner) {
+  if (!Tlb(64).BindOwner()) {
+    GTEST_SKIP() << "host has no expedited private membarrier";
+  }
+  CheckCountersExactUnderConcurrentFlushes(true);
+}
+
+// The §6.2 guarantee: a flush issued by another thread returns only after
+// an access already translating through the dropped entry has finished.
+// The accessor parks inside `fn` until told to leave; the flush must still
+// be waiting when it is released, and the translation is gone afterwards.
+void CheckFlushWaitsForParkedAccess(bool bind, bool whole_tlb) {
+  Tlb tlb(64);
+  tlb.Insert(7, 70, true);
+  std::atomic<int> stage{0};  // 1: accessor inside fn, 2: released
+  bool hit_after = true;
+  std::thread accessor([&] {
+    if (bind) {
+      EXPECT_TRUE(tlb.BindOwner());
+    }
+    EXPECT_TRUE(tlb.WithEntry(7, false, [&](pfn_t pfn) {
+      EXPECT_EQ(pfn, 70u);
+      stage.store(1);
+      while (stage.load() != 2) {
+        std::this_thread::yield();
+      }
+    }));
+    // Whatever the flush killed stays dead for the accessor itself.
+    while (stage.load() != 3) {
+      std::this_thread::yield();
+    }
+    hit_after = tlb.WithEntry(7, false, [](pfn_t) {});
+    tlb.UnbindOwner();
+  });
+  while (stage.load() != 1) {
+    std::this_thread::yield();
+  }
+  std::atomic<bool> returned{false};
+  std::thread flusher([&] {
+    if (whole_tlb) {
+      tlb.FlushAll();
+    } else {
+      tlb.FlushPage(7);
+    }
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "the flush returned while an access through its entry ran";
+  stage.store(2);
+  flusher.join();
+  EXPECT_TRUE(returned.load());
+  stage.store(3);
+  accessor.join();
+  EXPECT_FALSE(hit_after);
+}
+
+TEST(Tlb, RemoteFlushWaitsForParkedAccessLockedPath) {
+  CheckFlushWaitsForParkedAccess(/*bind=*/false, /*whole_tlb=*/true);
+  CheckFlushWaitsForParkedAccess(/*bind=*/false, /*whole_tlb=*/false);
+}
+
+TEST(Tlb, RemoteFlushWaitsForParkedAccessOwnerPath) {
+  if (!Tlb(64).BindOwner()) {
+    GTEST_SKIP() << "host has no expedited private membarrier";
+  }
+  CheckFlushWaitsForParkedAccess(/*bind=*/true, /*whole_tlb=*/true);
+  CheckFlushWaitsForParkedAccess(/*bind=*/true, /*whole_tlb=*/false);
+}
+
+// A sibling thread (one that shares the TLB without owning it, like a Mach
+// task thread) keeps replacing the translation in one slot while the owner
+// translates through it. Every hit must carry a whole entry: the pfn and
+// write permission installed together with the vpn it matched.
+TEST(Tlb, OwnerNeverSeesTornEntryUnderSiblingInserts) {
+  Tlb tlb(64);
+  if (!tlb.BindOwner()) {
+    GTEST_SKIP() << "host has no expedited private membarrier";
+  }
+  tlb.UnbindOwner();
+  constexpr u64 kA = 5;
+  constexpr u64 kB = kA + 64;  // same direct-mapped slot as kA
+  constexpr u64 kMinHits = 20000;  // of each translation
+  tlb.Insert(kA, 1000, /*writable=*/true);
+  std::atomic<bool> owner_bound{false};
+  std::atomic<bool> done{false};
+  std::thread sibling([&] {
+    while (!owner_bound.load()) {
+      std::this_thread::yield();
+    }
+    for (u64 i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      if (i % 2 == 0) {
+        tlb.Insert(kB, 2000, /*writable=*/false);
+      } else {
+        tlb.Insert(kA, 1000, /*writable=*/true);
+      }
+      // Leave the owner windows between inserts, as faults do.
+      for (int j = 0; j < 32; ++j) {
+        CpuRelax();
+      }
+    }
+  });
+  u64 torn = 0;
+  u64 hits_a = 0;
+  u64 hits_b = 0;
+  std::thread owner([&] {
+    EXPECT_TRUE(tlb.BindOwner());
+    owner_bound.store(true);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (u64 i = 0; (hits_a < kMinHits || hits_b < kMinHits) &&
+                    (i % 1024 != 0 || std::chrono::steady_clock::now() < deadline);
+         ++i) {
+      const u64 vpn = i % 2 == 0 ? kA : kB;
+      const bool want_write = i % 3 == 0;
+      if (tlb.WithEntry(vpn, want_write, [&](pfn_t pfn) {
+            torn += (pfn != (vpn == kA ? 1000u : 2000u)) ? 1 : 0;
+          })) {
+        ++(vpn == kA ? hits_a : hits_b);
+        torn += (vpn == kB && want_write) ? 1 : 0;  // kB is read-only
+      }
+    }
+    tlb.UnbindOwner();
+    done.store(true);
+  });
+  owner.join();
+  sibling.join();
+  EXPECT_EQ(torn, 0u);
+  EXPECT_GE(hits_a, kMinHits);
+  EXPECT_GE(hits_b, kMinHits);
 }
 
 TEST(CpuSet, SynchronousFlushHitsAllTargets) {

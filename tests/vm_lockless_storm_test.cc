@@ -31,6 +31,7 @@
 #include "obs/stats.h"
 #include "sync/lockdep.h"
 #include "sync/shared_read_lock.h"
+#include "vm/access.h"
 #include "vm/shared_space.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -348,6 +349,95 @@ TEST(VmLocklessStorm, SkippedWithoutInjection) {
 }
 
 #endif
+
+// A member keeps reading a shared page while another member unmaps it and
+// reuses the freed frame for a fresh mapping filled with poison. The §6.2
+// shootdown must drop the reader's translation, and wait out a read already
+// in flight through it, before munmap frees the frame: the reader may fault
+// (the page is gone) but must never see the poison or the zeroes the frame
+// passed through. Reads alternate between single words and whole-page
+// copies, whose long in-flight window is the one a flush must wait for.
+TEST(VmLocklessStorm, ReaderNeverSeesReusedFrameAfterMunmap) {
+#if defined(SG_STORM_TSAN)
+  constexpr int kRounds = 40;
+#else
+  constexpr int kRounds = 300;
+#endif
+  constexpr u32 kGood = 0x600D600Du;
+  constexpr u8 kPoison = 0xA5;
+  constexpr u64 kWords = kPageSize / sizeof(u32);
+  BootParams bp;
+  bp.ncpus = 4;
+  bp.phys_mem_bytes = u64{16} << 20;
+  Kernel k(bp);
+  const u64 free_at_boot = k.mem().FreeFrames();
+  std::atomic<u64> bad_reads{0};
+  std::atomic<u64> reads{0};
+  std::atomic<int> faulted_readers{0};
+  int reused_frames = 0;
+  auto root = k.Launch([&](Env& env, long) {
+    for (int round = 0; round < kRounds; ++round) {
+      const vaddr_t page = env.Mmap(kPageSize);
+      const vaddr_t fresh = env.Mmap(kPageSize);  // a different VA than `page`
+      ASSERT_NE(page, 0u);
+      ASSERT_NE(fresh, 0u);
+      for (u64 w = 0; w < kWords; ++w) {
+        env.Store32(page + w * sizeof(u32), kGood);
+      }
+      std::atomic<u64> round_reads{0};
+      env.Sproc(
+          [&, page](Env& c, long) {
+            u32 buf[kWords];
+            for (u64 i = 0;; ++i) {
+              bool ok = true;
+              if (i % 4 == 0) {
+                if (!CopyIn(c.proc().as, buf, page, kPageSize).ok()) {
+                  break;  // unmapped: the expected end of this reader
+                }
+                for (u32 w : buf) {
+                  ok = ok && w == kGood;
+                }
+              } else {
+                auto r = Load<u32>(c.proc().as, page + (i % kWords) * sizeof(u32));
+                if (!r.ok()) {
+                  break;
+                }
+                ok = r.value() == kGood;
+              }
+              if (!ok) {
+                bad_reads.fetch_add(1);
+                return;
+              }
+              round_reads.fetch_add(1, std::memory_order_relaxed);
+            }
+            faulted_readers.fetch_add(1);
+          },
+          PR_SADDR);
+      while (round_reads.load(std::memory_order_relaxed) < 64) {
+        env.Yield();
+      }
+      Tlb& tlb = env.proc().as.tlb();
+      const pfn_t old_frame = tlb.Probe(PageOf(page), false).pfn;
+      ASSERT_EQ(env.Munmap(page), 0);
+      // The frame allocator hands out the most recently freed frame first,
+      // so this first touch normally lands on the frame `page` just gave up.
+      ASSERT_TRUE(FillUser(env.proc().as, fresh, kPoison, kPageSize).ok());
+      if (old_frame != 0 && tlb.Probe(PageOf(fresh), false).pfn == old_frame) {
+        ++reused_frames;
+      }
+      env.WaitChild();
+      reads.fetch_add(round_reads.load());
+      ASSERT_EQ(env.Munmap(fresh), 0);
+    }
+  });
+  ASSERT_TRUE(root.ok());
+  k.WaitAll();
+  EXPECT_EQ(bad_reads.load(), 0u) << "a reader saw a frame after munmap freed it";
+  EXPECT_EQ(faulted_readers.load(), kRounds);
+  EXPECT_GE(reads.load(), u64{64} * kRounds);
+  EXPECT_GT(reused_frames, kRounds / 2) << "the poison fill rarely reused the unmapped frame";
+  EXPECT_EQ(k.mem().FreeFrames(), free_at_boot);
+}
 
 }  // namespace
 }  // namespace sg
