@@ -3,9 +3,10 @@
 //     see also bench_no_penalty for the plain-process baseline;
 //   * the cost of UPDATING a shared scalar as group size grows (the update
 //     flags every other sharing member: linear in members);
-//   * descriptor-table publish cost as the table fills (the master copy is
-//     a full-table copy with reference-count traffic);
-//   * the pull cost a member pays on its first entry after being flagged.
+//   * the pull cost a member pays on its first entry after being flagged;
+//   * the group descriptor table: open/close while other members look
+//     descriptors up, and the locked lookup against a private table's.
+#include <atomic>
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -69,36 +70,6 @@ void BM_UmaskUpdateVsGroupSize(benchmark::State& state) {
 BENCHMARK(BM_UmaskUpdateVsGroupSize)->Arg(0)->Arg(1)->Arg(3)->Arg(7)->Arg(15)
     ->UseManualTime();
 
-void BM_FdPublishVsTableSize(benchmark::State& state) {
-  const int open_fds = static_cast<int>(state.range(0));
-  Kernel k;
-  constexpr int kCalls = 256;
-  for (auto _ : state) {
-    double elapsed = 0;
-    RunSim(k, [&](Env& env) {
-      auto pids = SpawnSleepers(env, 2);
-      for (int i = 0; i < open_fds; ++i) {
-        char path[32];
-        std::snprintf(path, sizeof(path), "/fill%d", i);
-        env.Open(path, kOpenWrite | kOpenCreat);
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kCalls; ++i) {
-        // Each open+close republishes the table into s_ofile (full copy).
-        const int fd = env.Open("/churn", kOpenWrite | kOpenCreat);
-        env.Close(fd);
-      }
-      elapsed = Secs(t0);
-      ReapSleepers(env, pids);
-    });
-    state.SetIterationTime(elapsed);
-  }
-  state.SetItemsProcessed(state.iterations() * kCalls);
-  state.counters["open_fds"] = open_fds;
-}
-
-BENCHMARK(BM_FdPublishVsTableSize)->Arg(0)->Arg(16)->Arg(48)->UseManualTime();
-
 void BM_PullCostAfterFlag(benchmark::State& state) {
   Kernel k;
   constexpr int kCalls = 1024;
@@ -110,7 +81,7 @@ void BM_PullCostAfterFlag(benchmark::State& state) {
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
         // Flag ourselves dirty on every resource, then pay one entry-sync.
-        env.proc().p_flag.fetch_or(kPfSyncAny & ~kPfSyncFds, std::memory_order_relaxed);
+        env.proc().p_flag.fetch_or(kPfSyncAny, std::memory_order_relaxed);
         benchmark::DoNotOptimize(env.UlimitGet());
       }
       elapsed = Secs(t0);
@@ -122,77 +93,80 @@ void BM_PullCostAfterFlag(benchmark::State& state) {
 
 BENCHMARK(BM_PullCostAfterFlag)->UseManualTime();
 
-void BM_FdPullAfterFlag(benchmark::State& state) {
-  const int open_fds = static_cast<int>(state.range(0));
+// One member opens and closes while the other `members - 1` members issue
+// lseek(2)s on a shared descriptor in a loop: every call of either kind
+// takes the group table's bracket lock (s_fupdsema).
+void BM_FdOpenCloseVsGroupSize(benchmark::State& state) {
+  const int members = static_cast<int>(state.range(0));
   Kernel k;
-  constexpr int kCalls = 256;
+  constexpr int kCalls = 1024;
   for (auto _ : state) {
     double elapsed = 0;
     RunSim(k, [&](Env& env) {
-      for (int i = 0; i < open_fds; ++i) {
-        char path[32];
-        std::snprintf(path, sizeof(path), "/pf%d", i);
-        env.Open(path, kOpenWrite | kOpenCreat);
-      }
-      env.Sproc([](Env&, long) {}, PR_SALL);
+      const int fd = env.Open("/seek", kOpenRdwr | kOpenCreat);
+      std::atomic<bool> done{false};
+      std::atomic<int> running{0};
+      env.Sproc([](Env&, long) {}, PR_SALL);  // a group even at members=1
       env.WaitChild();
+      for (int i = 1; i < members; ++i) {
+        env.Sproc(
+            [&](Env& c, long) {
+              running.fetch_add(1);
+              while (!done.load(std::memory_order_relaxed)) {
+                benchmark::DoNotOptimize(c.Lseek(fd, 0));
+              }
+            },
+            PR_SALL);
+      }
+      while (running.load() < members - 1) {
+        env.Yield();
+      }
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // A full descriptor-table pull: release ours, dup the master's.
-        env.proc().p_flag.fetch_or(kPfSyncFds, std::memory_order_relaxed);
-        benchmark::DoNotOptimize(env.UlimitGet());
+        env.Close(env.Open("/churn", kOpenWrite | kOpenCreat));
       }
       elapsed = Secs(t0);
+      done = true;
+      for (int i = 1; i < members; ++i) {
+        env.WaitChild();
+      }
     });
     state.SetIterationTime(elapsed);
   }
   state.SetItemsProcessed(state.iterations() * kCalls);
-  state.counters["open_fds"] = open_fds;
+  state.counters["members"] = members;
 }
 
-BENCHMARK(BM_FdPullAfterFlag)->Arg(0)->Arg(16)->Arg(48)->UseManualTime();
+BENCHMARK(BM_FdOpenCloseVsGroupSize)->Arg(1)->Arg(2)->Arg(4)->UseManualTime();
 
-// The delta-sync headline: publish + member pull for a ONE-descriptor
-// change while the table holds `open_fds` other descriptors. With
-// generation stamps both sides are O(changed); the curve should be flat
-// where BM_FdPublishVsTableSize/BM_FdPullAfterFlag used to grow linearly.
-void BM_FdSingleChangeInLargeTable(benchmark::State& state) {
-  const int open_fds = static_cast<int>(state.range(0));
+// The price of fget on a shared table — bracket lock, one reference taken
+// and dropped — against a private table's plain slot read, measured as
+// lseek(2) on one descriptor (arg 1 = PR_SFDS group of one, 0 = no group).
+void BM_FdLookupSharedVsPrivate(benchmark::State& state) {
+  const bool shared = state.range(0) != 0;
   Kernel k;
-  constexpr int kCalls = 256;
+  constexpr int kCalls = 4096;
   for (auto _ : state) {
     double elapsed = 0;
     RunSim(k, [&](Env& env) {
-      auto pids = SpawnSleepers(env, 2);
-      for (int i = 0; i < open_fds; ++i) {
-        char path[32];
-        std::snprintf(path, sizeof(path), "/sc%d", i);
-        env.Open(path, kOpenWrite | kOpenCreat);
+      const int fd = env.Open("/lookup", kOpenRdwr | kOpenCreat);
+      if (shared) {
+        env.Sproc([](Env&, long) {}, PR_SALL);
+        env.WaitChild();
       }
-      (void)env.UlimitGet();  // fully synced before the clock starts
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // Publish side: open+close stamp one slot twice.
-        const int fd = env.Open("/churn", kOpenWrite | kOpenCreat);
-        env.Close(fd);
-        // Pull side: rewind our sync markers past those two publishes so
-        // the next entry repays the member-side delta pull, exactly what a
-        // sleeping member pays when it wakes.
-        env.proc().p_fd_synced_gen -= 2;
-        env.proc().p_resgen = LaneSet(env.proc().p_resgen, kLaneFds,
-                                      LaneGet(env.proc().p_resgen, kLaneFds) - 2);
-        benchmark::DoNotOptimize(env.UlimitGet());
+        benchmark::DoNotOptimize(env.Lseek(fd, 0));
       }
       elapsed = Secs(t0);
-      ReapSleepers(env, pids);
     });
     state.SetIterationTime(elapsed);
   }
   state.SetItemsProcessed(state.iterations() * kCalls);
-  state.counters["open_fds"] = open_fds;
+  state.counters["shared"] = shared ? 1 : 0;
 }
 
-BENCHMARK(BM_FdSingleChangeInLargeTable)->Arg(0)->Arg(16)->Arg(48)->UseManualTime();
+BENCHMARK(BM_FdLookupSharedVsPrivate)->Arg(0)->Arg(1)->UseManualTime();
 
 // Scalar update cost vs group size after the generation rework: the update
 // bumps one lane instead of walking the member chain, so the curve should

@@ -170,14 +170,10 @@ void Kernel::TerminateProcess(Proc& p, int status, int signal) {
   obs::Trace(obs::TraceKind::kProcExit, static_cast<u64>(status), static_cast<u64>(signal));
 
   // Release the u-area's counted resources. Only this process's own
-  // references go away; a share group's master copies (which hold their own
-  // bumped counts, §6.3) are untouched until the block itself dies.
-  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
-    auto f = p.fds.ClearSlot(fd);
-    if (f.ok()) {
-      vfs_.files().Release(f.value());
-    }
-  }
+  // references go away (a PR_SFDS member's table is empty); a share group's
+  // table and master copies hold their own counts (§6.3) and are untouched
+  // until the block itself dies.
+  p.fds.ReleaseAll(vfs_.files());
   if (p.cwd != nullptr) {
     vfs_.inodes().Iput(p.cwd);
     p.cwd = nullptr;

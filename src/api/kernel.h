@@ -217,8 +217,9 @@ class Kernel {
   // Allocates a stack region for `p`: in the group's shared space when
   // `shared_stack` (visible to all members), else private.
   Status AllocStack(Proc& p, bool shared_stack);
-  // Copies the non-VM u-area from parent to child (fds/dirs/ids/limits,
-  // signal dispositions).
+  // Copies the non-VM u-area from parent to child (dirs/ids/limits, signal
+  // dispositions). Descriptors are copied by the caller (CopyFds), since a
+  // PR_SFDS sproc child gets none of its own.
   void InheritUArea(Proc& parent, Proc& child);
   // Binds the entry closure and spawns the host thread.
   void StartProcThread(Proc* c, UserFn fn, long arg);
@@ -234,7 +235,8 @@ class Kernel {
   std::vector<obs::GroupStatus> SnapshotGroups();
 
   Cred CredOf(const Proc& p) const { return Cred{p.uid, p.gid}; }
-  // The share block to use for fd-table updates, or null if not sharing.
+  // The share block whose table holds `p`'s descriptors, or null if `p` does
+  // not share PR_SFDS (its table is then p.fds).
   // One atomic snapshot of p.shaddr: identity (shaddr + p_shmask) is
   // published before link and cleared before unlink, so a non-null b with
   // PR_SFDS set is safe to use here.
@@ -242,6 +244,11 @@ class Kernel {
     ShaddrBlock* b = p.shaddr;
     return (b != nullptr && (p.p_shmask & PR_SFDS) != 0) ? b : nullptr;
   }
+  // fget: the open file behind `fd` for the rest of the calling syscall.
+  FileRef Fget(Proc& p, int fd) { return FileRef(vfs_.files(), FdBlock(p), p, fd); }
+  // Fills the empty table `out` with a snapshot of `p`'s descriptors (the
+  // group's, if `p` shares PR_SFDS), taking one reference per used slot.
+  void CopyFds(Proc& p, FdTable& out);
 
   BootParams params_;
   PhysMem mem_;

@@ -1,13 +1,13 @@
-// Filesystem syscalls. Descriptor-table mutations follow the §6.3 protocol
-// when the caller shares PR_SFDS: single-thread through s_fupdsema, pull if
-// flagged (the double-update check), modify, publish, release — so "when
-// one of the processes in a group opens a file, the others will see the
-// file as immediately available to them".
+// Filesystem syscalls. A caller that shares PR_SFDS has no descriptor
+// table of its own: it looks up and edits the group's one table in the
+// share block, single-threaded by s_fupdsema, so "when one of the
+// processes in a group opens a file, the others will see the file as
+// immediately available to them".
 //
 // FdUpdateBracket (core/shaddr.h) is that bracket; it is a spinlock, so
 // nothing inside it may block. Work that may (the path walk of an open,
 // creating a pipe) runs before it; references the edit drops are released
-// after it.
+// after it. Reads of a descriptor go through FileRef (fget/fdput).
 #include <algorithm>
 #include <vector>
 
@@ -21,11 +21,11 @@ namespace sg {
 namespace {
 
 // Headroom test against the group's fd cap (src/rm/). Exact only inside the
-// descriptor bracket after the pull: there the rm node's kFiles `used`
-// equals the master table's population, so `used + delta <= cap` is an
-// exact admission test. Outside the bracket it is a racy pre-check. The
-// charge itself moves with PublishFds — this never charges, so no unwind
-// is needed on later failure.
+// descriptor bracket: there the rm node's kFiles `used` equals the group
+// table's population, so `used + delta <= cap` is an exact admission test.
+// Outside the bracket it is a racy pre-check. The charge itself moves with
+// FdUpdateBracket::Publish — this never charges, so no unwind is needed on
+// later failure.
 bool FdCapHolds(ShaddrBlock* b, u64 delta) {
   if (b == nullptr) {
     return true;  // private fd table: no group, no cap
@@ -69,13 +69,13 @@ Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode)
     } else {
       SG_INJECT_POINT("fs.open.pre_install");
       FdUpdateBracket u(vfs_.files(), b, p);
-      auto fd = FdCapHolds(b, 1) ? p.fds.AllocSlot(f.value()) : Result<int>(Errno::kEAGAIN);
+      auto fd = FdCapHolds(b, 1) ? u.table().AllocSlot(f.value()) : Result<int>(Errno::kEAGAIN);
       if (!fd.ok()) {
         u.ReleaseLater(f.value());
         result = fd.error();
       } else {
         result = fd.value();
-        u.Publish();
+        u.Publish(1);
       }
     }
   }
@@ -89,12 +89,12 @@ Status Kernel::Close(Proc& p, int fd) {
   Status st = Status::Ok();
   {
     FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
-    auto f = p.fds.ClearSlot(fd);
+    auto f = u.table().ClearSlot(fd);
     if (!f.ok()) {
       st = f.error();
     } else {
       u.ReleaseLater(f.value());
-      u.Publish();
+      u.Publish(-1);
     }
   }
   SyscallExit(p);
@@ -108,18 +108,18 @@ Result<int> Kernel::Dup(Proc& p, int fd) {
   Result<int> result = Errno::kEBADF;
   {
     FdUpdateBracket u(vfs_.files(), b, p);
-    auto f = p.fds.Get(fd);
+    auto f = u.table().Get(fd);
     if (f.ok() && !FdCapAllows(b, 1)) {
       result = Errno::kEAGAIN;
     } else if (f.ok()) {
       OpenFile* dup = vfs_.files().Dup(f.value());
-      auto slot = p.fds.AllocSlot(dup);
+      auto slot = u.table().AllocSlot(dup);
       if (!slot.ok()) {
         u.ReleaseLater(dup);
         result = slot.error();
       } else {
         result = slot.value();
-        u.Publish();
+        u.Publish(1);
       }
     }
   }
@@ -134,21 +134,22 @@ Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
   Result<int> result = Errno::kEBADF;
   {
     FdUpdateBracket u(vfs_.files(), b, p);
-    auto f = p.fds.Get(fd);
-    if (f.ok() && p.fds.ValidFd(newfd)) {
-      FdEntry& slot = p.fds.Slot(newfd);
+    auto f = u.table().Get(fd);
+    if (f.ok() && u.table().ValidFd(newfd)) {
+      FdEntry& slot = u.table().Slot(newfd);
       if (fd == newfd) {
         result = newfd;
       } else if (!slot.used() && !FdCapAllows(b, 1)) {
         // Only a dup onto an EMPTY slot grows the table; replacing counts 0.
         result = Errno::kEAGAIN;
       } else {
-        if (slot.used()) {
+        const bool replaced = slot.used();
+        if (replaced) {
           u.ReleaseLater(slot.file);
         }
         slot = FdEntry{vfs_.files().Dup(f.value()), false};
         result = newfd;
-        u.Publish();
+        u.Publish(replaced ? 0 : 1);
       }
     }
   }
@@ -162,11 +163,10 @@ Status Kernel::SetCloexec(Proc& p, int fd, bool on) {
   Status st = Status::Ok();
   {
     FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
-    if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
+    if (!u.table().ValidFd(fd) || !u.table().Slot(fd).used()) {
       st = Errno::kEBADF;
     } else {
-      p.fds.Slot(fd).close_on_exec = on;
-      u.Publish();  // s_pofile mirrors the flag bytes too
+      u.table().Slot(fd).close_on_exec = on;  // s_pofile: the flag byte
     }
   }
   SyscallExit(p);
@@ -177,8 +177,11 @@ Result<bool> Kernel::GetCloexec(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("getcloexec");
   Result<bool> r = Errno::kEBADF;
-  if (p.fds.ValidFd(fd) && p.fds.Slot(fd).used()) {
-    r = p.fds.Slot(fd).close_on_exec;
+  {
+    FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
+    if (u.table().ValidFd(fd) && u.table().Slot(fd).used()) {
+      r = u.table().Slot(fd).close_on_exec;
+    }
   }
   SyscallExit(p);
   return r;
@@ -196,18 +199,19 @@ Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
     } else {
       auto [rd, wr] = made.value();
       FdUpdateBracket u(vfs_.files(), b, p);
-      auto rfd = FdCapHolds(b, 2) ? p.fds.AllocSlot(rd) : Result<int>(Errno::kEAGAIN);
-      auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(rfd.error());
+      FdTable& t = u.table();
+      auto rfd = FdCapHolds(b, 2) ? t.AllocSlot(rd) : Result<int>(Errno::kEAGAIN);
+      auto wfd = rfd.ok() ? t.AllocSlot(wr) : Result<int>(rfd.error());
       if (!wfd.ok()) {
         if (rfd.ok()) {
-          p.fds.ClearSlot(rfd.value()).value();
+          t.ClearSlot(rfd.value()).value();
         }
         u.ReleaseLater(rd);
         u.ReleaseLater(wr);
         result = wfd.error();
       } else {
         result = std::make_pair(rfd.value(), wfd.value());
-        u.Publish();
+        u.Publish(2);
       }
     }
   }
@@ -220,7 +224,7 @@ Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
 Result<u64> Kernel::Read(Proc& p, int fd, vaddr_t ubuf, u64 len) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("read");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   if (!fr.ok()) {
     SyscallExit(p);
     return fr.error();
@@ -259,7 +263,7 @@ Result<u64> Kernel::Read(Proc& p, int fd, vaddr_t ubuf, u64 len) {
 Result<u64> Kernel::Write(Proc& p, int fd, vaddr_t ubuf, u64 len) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("write");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   if (!fr.ok()) {
     SyscallExit(p);
     return fr.error();
@@ -298,7 +302,7 @@ Result<u64> Kernel::Write(Proc& p, int fd, vaddr_t ubuf, u64 len) {
 Result<u64> Kernel::ReadK(Proc& p, int fd, std::span<std::byte> out) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("readk");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   Result<u64> r = fr.ok() ? vfs_.ReadFile(*fr.value(), out.data(), out.size())
                           : Result<u64>(fr.error());
   SyscallExit(p);
@@ -308,7 +312,7 @@ Result<u64> Kernel::ReadK(Proc& p, int fd, std::span<std::byte> out) {
 Result<u64> Kernel::WriteK(Proc& p, int fd, std::span<const std::byte> in) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("writek");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   Result<u64> r = fr.ok() ? vfs_.WriteFile(*fr.value(), in.data(), in.size(), p.ulimit)
                           : Result<u64>(fr.error());
   if (!r.ok() && r.error() == Errno::kEPIPE) {
@@ -321,7 +325,7 @@ Result<u64> Kernel::WriteK(Proc& p, int fd, std::span<const std::byte> in) {
 Result<u64> Kernel::Lseek(Proc& p, int fd, i64 off, SeekWhence whence) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("lseek");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   Result<u64> r = fr.ok() ? vfs_.Seek(*fr.value(), off, whence) : Result<u64>(fr.error());
   SyscallExit(p);
   return r;
@@ -456,7 +460,7 @@ Result<StatResult> Kernel::Stat(Proc& p, std::string_view path) {
 Result<StatResult> Kernel::Fstat(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("fstat");
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   Result<StatResult> r =
       fr.ok() ? Result<StatResult>(FillStat(vfs_.inodes(), fr.value()->inode()))
               : Result<StatResult>(fr.error());

@@ -89,12 +89,6 @@ void Kernel::InheritUArea(Proc& parent, Proc& child) {
   child.priority.store(parent.priority.load(std::memory_order_relaxed), std::memory_order_relaxed);
   child.cwd = vfs_.inodes().Iget(parent.cwd);
   child.rootdir = vfs_.inodes().Iget(parent.rootdir);
-  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
-    const FdEntry& e = parent.fds.Slot(fd);
-    if (e.used()) {
-      SG_CHECK(child.fds.SetSlot(fd, vfs_.files().Dup(e.file), e.close_on_exec).ok());
-    }
-  }
   MutexGuard l(parent.sig_mu);
   // The child is an embryo (host thread not started), so its mutex is free;
   // holding it anyway keeps the write analyzable.
@@ -104,16 +98,23 @@ void Kernel::InheritUArea(Proc& parent, Proc& child) {
                           std::memory_order_relaxed);
 }
 
+void Kernel::CopyFds(Proc& p, FdTable& out) {
+  // Under the bracket, so a concurrent edit by another member is seen
+  // whole or not at all; Dup is one fetch_add.
+  FdUpdateBracket u(vfs_.files(), FdBlock(p), p);
+  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
+    const FdEntry& e = u.table().Slot(fd);
+    if (e.used()) {
+      SG_CHECK(out.SetSlot(fd, vfs_.files().Dup(e.file), e.close_on_exec).ok());
+    }
+  }
+}
+
 namespace {
 
 // Unwinds a half-built child that never ran.
 void AbortEmbryo(Kernel& k, Proc* c) {
-  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
-    auto f = c->fds.ClearSlot(fd);
-    if (f.ok()) {
-      k.vfs().files().Release(f.value());
-    }
-  }
+  c->fds.ReleaseAll(k.vfs().files());
   if (c->cwd != nullptr) {
     k.vfs().inodes().Iput(c->cwd);
   }
@@ -137,6 +138,7 @@ Result<pid_t> Kernel::Fork(Proc& p, UserFn entry, long arg) {
   Proc* c = alloc.value();
   c->ppid.store(p.pid, std::memory_order_relaxed);
   InheritUArea(p, *c);
+  CopyFds(p, c->fds);
   // §5.1: "A new process may be created outside the share group through the
   // fork(2) system call" — the child gets a copy-on-write image (including
   // any group-visible stacks) and is NOT a member.
@@ -192,6 +194,9 @@ Result<pid_t> Kernel::Sproc(Proc& p, UserFn entry, u32 shmask, long arg) {
   Proc* c = alloc.value();
   c->ppid.store(p.pid, std::memory_order_relaxed);
   InheritUArea(p, *c);
+  if ((shmask & PR_SFDS) == 0) {
+    CopyFds(p, c->fds);  // a snapshot of the group table; a PR_SFDS child uses the table itself
+  }
 
   Status st = Status::Ok();
   if ((shmask & PR_SADDR) != 0) {
@@ -235,13 +240,11 @@ Result<pid_t> Kernel::Sproc(Proc& p, UserFn entry, u32 shmask, long arg) {
 
   // The child's u-area was copied from the parent outside the update locks,
   // so the child is exactly as stale as the parent: seed its generation
-  // caches from the parent's and the ordinary delta sync pulls, on the
+  // cache from the parent's and the ordinary scalar sync pulls, on the
   // child's first kernel entry, exactly what the parent itself would have
   // pulled (strict inheritance means the child shares nothing the parent
-  // doesn't). This replaces the old flag-everything seeding, whose first
-  // entry cost a wholesale resync even when nothing had changed.
+  // doesn't).
   c->p_resgen = p.p_resgen;
-  c->p_fd_synced_gen = p.p_fd_synced_gen;
   SG_INJECT_POINT("kernel.sproc.post_attach");
 
   StartProcThread(c, std::move(entry), arg);
@@ -300,12 +303,14 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
         st = p.shaddr->UnshareVm(p);  // clears PR_SADDR itself
       }
       if (st.ok()) {
+        if ((drop & PR_SFDS) != 0) {
+          // Like unshare(CLONE_FILES): a private copy of the group table,
+          // taken while we still share it.
+          CopyFds(p, p.fds);
+        }
         p.p_shmask &= ~(drop & ~PR_SADDR);
         // Stale "resynchronize" hints for dropped resources are void now.
         u32 clear = 0;
-        if ((drop & PR_SFDS) != 0) {
-          clear |= kPfSyncFds;
-        }
         if ((drop & PR_SDIR) != 0) {
           clear |= kPfSyncDir;
         }
@@ -391,7 +396,10 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
         });
       }
       if (join_result.ok()) {
-        // Pull every master copy at this very entry's tail: flag ourselves.
+        // The group's table replaces ours: release the private one.
+        p.fds.ReleaseAll(vfs_.files());
+        // Pull every scalar master copy at this very entry's tail: flag
+        // ourselves.
         p.p_flag.fetch_or(kPfSyncAny, std::memory_order_acq_rel);
         p.shaddr->SyncOnKernelEntry(p);
       }
@@ -448,6 +456,9 @@ Status Kernel::Exec(Proc& p, const Image& img, long arg) {
   // secure environment for the new program image."
   if (p.shaddr != nullptr) {
     ShaddrBlock* b = p.shaddr;
+    if (FdBlock(p) != nullptr) {
+      CopyFds(p, p.fds);  // the new image keeps a private copy of the table
+    }
     SG_INJECT_POINT("kernel.exec.pre_detach");
     if (b->RemoveMember(p)) {
       std::lock_guard<std::mutex> l(blocks_mu_);

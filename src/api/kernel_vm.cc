@@ -59,7 +59,7 @@ Result<vaddr_t> Kernel::MapFile(Proc& p, int fd, u64 offset, u64 len, bool share
   SyscallEnter(p);
   SG_OBS_SYSCALL("mapfile");
   Result<vaddr_t> r = Errno::kEBADF;
-  auto fr = p.fds.Get(fd);
+  FileRef fr = Fget(p, fd);
   if (!fr.ok()) {
     r = fr.error();
   } else if (len == 0 || (offset & kPageMask) != 0) {

@@ -1,7 +1,7 @@
 #include "core/shaddr.h"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "base/check.h"
 #include "core/share_mask.h"
@@ -92,24 +92,16 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   // /proc/share/<id> reports this lock's own numbers under this name.
   space_.lock().SetName("group" + std::to_string(id_));
 
-  // Seed the master resource copies, bumping the block's own references.
-  // Slots start at gen 0 (< fd_gen_): nothing is newer than what the
-  // creator, seeded fully synced below, already has.
-  ofile_.reserve(creator.fds.slots().size());
-  int used = 0;
-  for (const FdEntry& e : creator.fds.slots()) {
-    MasterFdSlot s;
-    if (e.used()) {
-      s.e = FdEntry{vfs_.files().Dup(e.file), e.close_on_exec};
-      ++used;
-    }
-    ofile_.push_back(s);
-  }
+  // The creator's descriptor table becomes the group's: its references
+  // move into the block, leaving the creator an empty private table.
+  std::swap(group_fds_, creator.fds);
+  const int used = group_fds_.OpenCount();
   ofile_count_.store(used, std::memory_order_release);
   // Forced charges: the founder's pre-existing usage can never bounce (no
   // cap is configurable before the group exists).
   node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used));
   node_->ChargeForced(rm::Resource::kMembers, 1);
+  // Seed the scalar master copies, bumping the block's own references.
   cdir_ = vfs_.inodes().Iget(creator.cwd);
   rdir_ = vfs_.inodes().Iget(creator.rootdir);
   cmask_ = creator.umask;
@@ -120,7 +112,6 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   // The master copies ARE the creator's current values, so the creator is
   // born synchronized (it may carry stale caches from an earlier group).
   creator.p_resgen = resgen_.load(std::memory_order_relaxed);
-  creator.p_fd_synced_gen = fd_gen_;
 
   plink_ = &creator;
   creator.s_plink = nullptr;
@@ -139,11 +130,7 @@ ShaddrBlock::~ShaddrBlock() {
   space_.TeardownRelease();
   space_.set_page_charge(nullptr);
   rm_.ReleaseNode(node_);
-  for (const MasterFdSlot& s : ofile_) {
-    if (s.e.used()) {
-      vfs_.files().Release(s.e.file);
-    }
-  }
+  group_fds_.ReleaseAll(vfs_.files());
   if (cdir_ != nullptr) {
     vfs_.inodes().Iput(cdir_);
   }
@@ -350,11 +337,9 @@ void ShaddrBlock::FlagOthers(Proc& self, u32 resource, u32 bit) {
 
 u64 ShaddrBlock::BumpScalarLane(ResLane lane) {
   // CAS rather than fetch_add: a plain RMW could carry into the neighbor
-  // lane, and the fds lane is stored under a different lock (fupdsema_)
-  // than the scalar lanes (rupdlock_), so lanes do race each other. The
-  // release half publishes the master value written just before the bump;
-  // pullers re-read it under rupdlock_ anyway, so this only makes the
-  // staleness check timely, never load-bearing for the data itself.
+  // lane. The release half publishes the master value written just before
+  // the bump; pullers re-read it under rupdlock_ anyway, so this only makes
+  // the staleness check timely, never load-bearing for the data itself.
   u64 cur = resgen_.load(std::memory_order_relaxed);
   u64 next = 0;
   u64 value = 0;
@@ -370,15 +355,6 @@ u64 ShaddrBlock::BumpScalarLane(ResLane lane) {
   return value;
 }
 
-void ShaddrBlock::StoreFdsLane(u64 fd_gen) {
-  u64 cur = resgen_.load(std::memory_order_relaxed);
-  u64 next = 0;
-  do {
-    next = LaneSet(cur, kLaneFds, fd_gen);
-  } while (!resgen_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                          std::memory_order_relaxed));
-}
-
 // ----- file descriptors (under fupdsema_) -----
 
 void ShaddrBlock::LockFileUpdate() {
@@ -390,103 +366,33 @@ void ShaddrBlock::LockFileUpdate() {
   fupdsema_.Lock();
 }
 
-void ShaddrBlock::PullFdsIfFlagged(Proc& p, FdUpdateBracket& u) {
-  // A set kPfSyncFds bit forces a full-table reconcile: PR_JOINGROUP
-  // joiners carry arbitrary private tables (and an unrelated synced-gen
-  // from a previous group), and the lane-wrap fallback routes members too
-  // far behind for the word compare through here as well.
-  const bool forced = (p.p_flag.load(std::memory_order_acquire) & kPfSyncFds) != 0;
-  if (!forced && p.p_fd_synced_gen == fd_gen_) {
-    return;  // current: nothing published since we last synchronized
+void FdUpdateBracket::Publish(int delta) {
+  if (b_ == nullptr) {
+    return;
   }
-  SG_INJECT_POINT("shaddr.fds.delta_pull");
-  u64 pulled = 0;
-  const auto n = std::min(ofile_.size(), p.fds.slots().size());
-  for (u32 i = 0; i < n; ++i) {
-    const MasterFdSlot& s = ofile_[i];
-    if (!forced && s.gen <= p.p_fd_synced_gen) {
-      continue;  // slot untouched since our last sync
-    }
-    FdEntry& mine = p.fds.slots()[i];
-    if (mine.file == s.e.file) {
-      // Same open-file instance: adopt the flag byte, no refcount traffic.
-      if (mine.close_on_exec != s.e.close_on_exec) {
-        mine.close_on_exec = s.e.close_on_exec;
-        ++pulled;
-      }
-      continue;
-    }
-    if (mine.used()) {
-      u.ReleaseLater(mine.file);
-    }
-    mine = s.e.used() ? FdEntry{vfs_.files().Dup(s.e.file), s.e.close_on_exec} : FdEntry{};
-    ++pulled;
+  SG_INJECT_POINT("shaddr.fds.publish");
+  if (delta == 0) {
+    return;
   }
-  p.p_fd_synced_gen = fd_gen_;
-  p.p_resgen = LaneSet(p.p_resgen, kLaneFds, fd_gen_);
-  p.p_flag.fetch_and(~kPfSyncFds, std::memory_order_acq_rel);
-  if (pulled > 0) {
-    SG_OBS_ADD("core.fds.delta_pulled_slots", pulled);
+  b_->ofile_count_.fetch_add(delta, std::memory_order_acq_rel);
+  // kFiles tracks the group table exactly, and only from inside this
+  // single-threaded bracket. Forced: the cap was already enforced as an
+  // exact headroom check inside this same bracket (kernel_fs.cc), so the
+  // accounting itself must never bounce.
+  if (delta > 0) {
+    b_->node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(delta));
+  } else {
+    b_->node_->Uncharge(rm::Resource::kFiles, static_cast<u64>(-delta));
   }
 }
 
-void ShaddrBlock::PublishFds(Proc& p, FdUpdateBracket& u) {
-  SG_INJECT_POINT("shaddr.fds.delta_publish");
-  // Diff the member's table against the master and retarget only changed
-  // slots. fupdsema_ single-threads every reader and writer of ofile_; the
-  // /proc snapshot reads the atomic ofile_count_ instead of walking us.
-  u64 changed = 0;
-  int used_delta = 0;
-  const auto n = std::min(ofile_.size(), p.fds.slots().size());
-  for (u32 i = 0; i < n; ++i) {
-    MasterFdSlot& s = ofile_[i];
-    const FdEntry& mine = p.fds.slots()[i];
-    if (s.e.file == mine.file && s.e.close_on_exec == mine.close_on_exec) {
-      continue;
-    }
-    if (changed == 0) {
-      ++fd_gen_;  // one fresh stamp per publish that changes anything
-    }
-    if (s.e.file != mine.file) {
-      OpenFile* displaced = s.e.file;  // may be null
-      s.e.file = mine.used() ? vfs_.files().Dup(mine.file) : nullptr;
-      used_delta += (s.e.file != nullptr ? 1 : 0) - (displaced != nullptr ? 1 : 0);
-      if (displaced != nullptr) {
-        u.ReleaseLater(displaced);
-      }
-    }
-    s.e.close_on_exec = mine.close_on_exec;
-    s.gen = fd_gen_;
-    ++changed;
+Result<OpenFile*> FileRef::GetShared(FileTable& files, ShaddrBlock& b, Proc& p, int fd) {
+  FdUpdateBracket u(files, &b, p);
+  auto f = u.table().Get(fd);
+  if (f.ok()) {
+    files.Dup(f.value());
   }
-  if (changed > 0) {
-    if (used_delta != 0) {
-      ofile_count_.fetch_add(used_delta, std::memory_order_acq_rel);
-      // kFiles tracks the master table exactly, and only from inside this
-      // single-threaded bracket. Forced: the cap was already enforced as an
-      // exact headroom check inside this same bracket (kernel_fs.cc), so
-      // the publish itself must never bounce.
-      if (used_delta > 0) {
-        node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
-      } else {
-        node_->Uncharge(rm::Resource::kFiles, static_cast<u64>(-used_delta));
-      }
-    }
-    StoreFdsLane(fd_gen_);
-    SG_OBS_ADD("core.fds.delta_published_slots", changed);
-    if (LaneGet(fd_gen_, kLaneFds) == 0) {
-      // The 16-bit lane mirror just wrapped: a member 2^16 publishes
-      // behind could alias the word compare, so fall back to the paper's
-      // O(members) flagging — its forced pull ignores generations.
-      SG_OBS_INC("core.scalar_gen_wraps");
-      FlagOthers(p, PR_SFDS, kPfSyncFds);
-    }
-  }
-  // The publisher is by construction fully synchronized with what it just
-  // published (PullFdsIfFlagged ran first inside this same bracket).
-  p.p_fd_synced_gen = fd_gen_;
-  p.p_resgen = LaneSet(p.p_resgen, kLaneFds, fd_gen_);
-  p.p_flag.fetch_and(~kPfSyncFds, std::memory_order_acq_rel);
+  return f;
 }
 
 // ----- scalar resources (under rupdlock_) -----
@@ -622,7 +528,8 @@ void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
   // is checked in a single test ... thus lowering the system call overhead
   // for most system calls"): one packed-word compare covers every
   // generation lane, plus the legacy bit AND for the forced-resync paths
-  // (PR_JOINGROUP, lane wrap, signal/teardown users of the bits).
+  // (PR_JOINGROUP, lane wrap). Descriptors never go stale: PR_SFDS
+  // members read the group table itself.
   const u64 word = resgen_.load(std::memory_order_acquire);
   const u32 flags = p.p_flag.load(std::memory_order_acquire);
   if (word == p.p_resgen && (flags & kPfSyncAny) == 0) {
@@ -643,13 +550,6 @@ void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
       p.p_flag.fetch_and(~bit, std::memory_order_acq_rel);
     }
   };
-  if (stale(kLaneFds, kPfSyncFds)) {
-    if ((mask & PR_SFDS) != 0) {
-      FdUpdateBracket pull(vfs_.files(), this, p);  // replaced refs drop after its unlock
-    } else {
-      adopt(kLaneFds, kPfSyncFds);
-    }
-  }
   if (stale(kLaneDir, kPfSyncDir)) {
     if ((mask & PR_SDIR) != 0) {
       PullDir(p);

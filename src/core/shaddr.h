@@ -7,11 +7,11 @@
 //       -> space_ (vm::SharedSpace: the shared pregion list + SharedReadLock)
 //   s_plink / s_refcnt / s_listlock
 //       -> the member chain (through Proc::s_plink), refcnt_, listlock_
-//   s_fupdsema -> fupdsema_ (single-threads open-file-table updates; a
+//   s_fupdsema -> fupdsema_ (single-threads descriptor-table access; a
 //       spinlock here, not IRIX's sleeping semaphore — see the bracket below)
-//   s_ofile / s_pofile -> ofile_ (master copy of the descriptor table,
-//       FdEntry carries the per-descriptor flag byte), generation-stamped
-//       per slot for delta synchronization
+//   s_ofile / s_pofile -> group_fds_: the group's one descriptor table
+//       (FdEntry carries the per-descriptor flag byte). PR_SFDS members
+//       have no private copy; every lookup and edit goes to this table.
 //   s_cdir / s_rdir -> cdir_/rdir_ (counted inode refs)
 //   s_rupdlock -> rupdlock_ (spinlock for the small shared values)
 //   s_cmask / s_limit / s_uid / s_gid -> cmask_/limit_/uid_/gid_
@@ -20,36 +20,34 @@
 // inodes) have the count bumped one for the shared address block. This
 // avoids any races whereby the process that changed the resource exits
 // before all other group members have had a chance to synchronize." The
-// block therefore owns one reference to every file in ofile_ and to
-// cdir_/rdir_, released only at group teardown or replacement.
+// block owns the references in group_fds_ (the founder's moved in at
+// creation) and one on cdir_/rdir_, released only at group teardown or
+// replacement.
 //
-// ---- Generation-based resource synchronization (DESIGN.md §4f) ----
+// ---- Descriptors: one shared table (DESIGN.md §4f) ----
 //
+// The paper copies every descriptor change into s_ofile and back out into
+// each member's u-area at its next kernel entry. Here PR_SFDS members
+// share the block's table by reference, like Linux's clone(CLONE_FILES):
+// an edit is visible to every member at once, so nothing is published or
+// pulled. Copies are made only where a process stops sharing: fork,
+// sproc without PR_SFDS, PR_UNSHARE(PR_SFDS) and exec.
+//
+// ---- Generation-based scalar synchronization (DESIGN.md §4f) ----
+//
+// The directories, ids, umask and ulimit keep the paper's copy-on-entry.
 // The paper's p_flag bits answer "did ANYTHING change?"; flagging is
 // O(members) per update and a flagged member resynchronizes wholesale.
-// This block generalizes the "checked in a single test" property to
-// generation counters:
-//
-//   * resgen_ — one packed u64 with a generation lane per shared resource
-//     (fds/dir/id/umask/ulimit). Every update bumps its lane; a member
-//     caches the word it last synced against (Proc::p_resgen), so kernel
-//     entry stays a single word compare and updates stop walking the
-//     member chain (FlagOthers survives only as the lane-wrap fallback
-//     and for forced resyncs: sproc seeding, PR_JOINGROUP, teardown).
-//   * fd_gen_ / MasterFdSlot::gen — the master descriptor table carries a
-//     full-width table generation; each slot is stamped with the
-//     generation of its last change and each member records the table
-//     generation its own fd table reflects (Proc::p_fd_synced_gen).
-//     PublishFds diffs the member table against the master and touches
-//     only changed slots; PullFdsIfFlagged copies only slots stamped
-//     newer than the member's last sync — a 1-fd open(2) costs O(changed)
-//     refcount round-trips per member instead of O(kMaxFds).
+// resgen_ is one packed u64 with a generation lane per scalar resource.
+// Every update bumps its lane; a member caches the word it last synced
+// against (Proc::p_resgen), so kernel entry stays a single word compare
+// and updates stop walking the member chain (FlagOthers survives only as
+// the lane-wrap fallback and for forced resyncs: PR_JOINGROUP, teardown).
 #ifndef SRC_CORE_SHADDR_H_
 #define SRC_CORE_SHADDR_H_
 
 #include <array>
 #include <atomic>
-#include <vector>
 
 #include "base/check.h"
 #include "base/thread_annotations.h"
@@ -66,9 +64,8 @@
 
 namespace sg {
 
-// Lanes of the packed resource-generation word. The fds lane mirrors the
-// low bits of the full-width fd_gen_; the scalar lanes are free-running
-// modular counters. Lane widths bound how far a member may lag before the
+// Lanes of the packed resource-generation word: free-running modular
+// counters, one per scalar resource. Lane widths bound how far a member may lag before the
 // word compare could alias (2^bits updates); the updater closes that hole
 // by falling back to a FlagOthers walk whenever a lane wraps to 0, so the
 // p_flag bit forces the pull no matter what the word compare says.
@@ -76,11 +73,10 @@ struct ResLane {
   u32 shift;
   u32 bits;
 };
-inline constexpr ResLane kLaneFds{0, 16};
-inline constexpr ResLane kLaneDir{16, 12};
-inline constexpr ResLane kLaneId{28, 12};
-inline constexpr ResLane kLaneUmask{40, 12};
-inline constexpr ResLane kLaneUlimit{52, 12};
+inline constexpr ResLane kLaneDir{0, 12};
+inline constexpr ResLane kLaneId{12, 12};
+inline constexpr ResLane kLaneUmask{24, 12};
+inline constexpr ResLane kLaneUlimit{36, 12};
 
 constexpr u64 LaneLimit(ResLane l) { return u64{1} << l.bits; }
 constexpr u64 LaneMask(ResLane l) { return (LaneLimit(l) - 1) << l.shift; }
@@ -89,21 +85,14 @@ constexpr u64 LaneSet(u64 word, ResLane l, u64 v) {
   return (word & ~LaneMask(l)) | ((v & (LaneLimit(l) - 1)) << l.shift);
 }
 
-// One master descriptor-table slot: the entry plus the fd_gen_ value of
-// its last change (0 = never touched since the block was created).
-struct MasterFdSlot {
-  FdEntry e;
-  u64 gen = 0;
-};
-
 class FdUpdateBracket;
 
 class ShaddrBlock {
  public:
   // Creates the block for `creator`'s new share group: moves the creator's
-  // sharable pregions onto the shared list, registers its TLB, seeds the
-  // master resource copies from the creator's u-area (bumping the block's
-  // own references), links the creator as the first member, and gives it a
+  // sharable pregions onto the shared list, registers its TLB, moves the
+  // creator's descriptor table into the block, seeds the scalar master
+  // copies from its u-area (bumping the block's own references), links the creator as the first member, and gives it a
   // mask "indicating that all resources are shared".
   // Analysis suppressed on both: the constructor runs before the block is
   // published (nobody else can hold its locks) and the destructor after
@@ -129,17 +118,17 @@ class ShaddrBlock {
   //
   // Accounting contract: the ADMISSION seams charge kMembers (sproc /
   // PR_JOINGROUP, before the member attaches) and RemoveMember uncharges;
-  // kFiles moves only with the master fd table (constructor seed,
-  // PublishFds deltas); kPages moves with page-table validity transitions
+  // kFiles moves only with the group fd table (constructor seed,
+  // FdUpdateBracket::Publish deltas); kPages moves with page-table validity transitions
   // via the regions' PageCharge hookup.
   rm::GroupNode* rm_node() const { return node_; }
 
   // ----- member chain (s_plink/s_refcnt/s_listlock) -----
   // Links `child` with its (already strict-inheritance-masked) share mask.
   // If PR_SADDR is set the child's address space joins the shared image.
-  // The caller seeds the child's p_resgen/p_fd_synced_gen from its own
-  // (the child's u-area is a copy of the caller's, so it is exactly as
-  // stale as the caller).
+  // The caller seeds the child's p_resgen from its own (the child's u-area
+  // is a copy of the caller's, so it is exactly as stale as the caller)
+  // and gives a PR_SFDS child no descriptor table of its own.
   void AddMember(Proc& child, u32 shmask);
 
   // Like AddMember, but fails (returns false) if the group is already
@@ -177,23 +166,22 @@ class ShaddrBlock {
   u32 refcnt() const;
 
   // ----- §6.3 resource synchronization -----
-  // Update protocol ("the share block is locked for update, the resource is
-  // modified, a copy is made in the shared address block, each sharing
-  // group member's p_flag word is updated, and the lock is released" —
-  // except that "each member's p_flag is updated" is now "the resource's
-  // generation lane is bumped": O(1) in group size. The double-update
-  // check survives unchanged: after acquiring the lock the updater first
-  // synchronizes its own stale copy, then applies its change):
+  // Scalar update protocol ("the share block is locked for update, the
+  // resource is modified, a copy is made in the shared address block, each
+  // sharing group member's p_flag word is updated, and the lock is
+  // released" — except that "each member's p_flag is updated" is now "the
+  // resource's generation lane is bumped": O(1) in group size. The
+  // double-update check survives unchanged: after acquiring the lock the
+  // updater first synchronizes its own stale copy, then applies its
+  // change):
   //
   //   lock -> pull-if-stale -> apply caller's change -> copy to master ->
   //   bump the resource's generation lane -> unlock.
   //
-  // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema).
-  // IRIX sleeps on that semaphore across a whole open/close; here it is a
-  // spinlock held only for the descriptor-table edit, through
-  // FdUpdateBracket (below): the path walk runs before it, last-reference
-  // drops after it. The small scalar resources complete inside rupdlock_
-  // (s_rupdlock).
+  // The small scalar resources complete inside rupdlock_ (s_rupdlock).
+  // Descriptors have no copy to synchronize: every access to the shared
+  // table goes through FdUpdateBracket (below), which holds fupdsema_
+  // (s_fupdsema) for the lookup or edit only.
 
   // Scalar resources; null/unset arguments leave that field as-is.
   void UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root);  // takes over the counted refs
@@ -217,9 +205,9 @@ class ShaddrBlock {
   gid_t gid() const;
   Inode* cdir() const;
   Inode* rdir() const;
-  // Used descriptors in the master table. Maintained incrementally at
-  // publish so the /proc/share snapshot is one atomic load, not a
-  // kMaxFds walk under a lock.
+  // Used descriptors in the group table. Maintained incrementally by
+  // FdUpdateBracket::Publish so the /proc/share snapshot is one atomic
+  // load, not a kMaxFds walk under a lock.
   int OfileCount() const { return ofile_count_.load(std::memory_order_acquire); }
 
  private:
@@ -230,25 +218,12 @@ class ShaddrBlock {
   // into core.fupdsema_wait_ns) and never parks the host thread.
   void LockFileUpdate() SG_ACQUIRE(fupdsema_);
   void UnlockFileUpdate() SG_RELEASE(fupdsema_) { fupdsema_.Unlock(); }
-  // Delta pull: copies only master slots stamped newer than the member's
-  // last-synced generation. A member flagged with kPfSyncFds (forced
-  // resync: PR_JOINGROUP, lane wrap) reconciles every slot instead. The
-  // member references it replaces are released by `u` after the unlock.
-  void PullFdsIfFlagged(Proc& p, FdUpdateBracket& u) SG_REQUIRES(fupdsema_);
-  // Delta publish: diffs `p`'s table against the master and touches only
-  // changed slots (refcount traffic proportional to the change, not the
-  // table), stamping them with a fresh table generation. The master
-  // references it displaces are released by `u` after the unlock.
-  void PublishFds(Proc& p, FdUpdateBracket& u) SG_REQUIRES(fupdsema_);
 
-  // Bumps `lane` of resgen_ by one (CAS: the fds lane and the scalar lanes
-  // are bumped under different locks, so a plain RMW could carry into a
-  // neighbor lane). Returns the new lane value; 0 means the lane wrapped
-  // and the caller must FlagOthers so a member exactly 2^bits updates
-  // behind cannot alias the word compare.
+  // Bumps `lane` of resgen_ by one (CAS: the lanes are packed in one word,
+  // so a plain RMW could carry into a neighbor lane). Returns the new lane
+  // value; 0 means the lane wrapped and the caller must FlagOthers so a
+  // member exactly 2^bits updates behind cannot alias the word compare.
   u64 BumpScalarLane(ResLane lane);
-  // Sets the fds lane to the low bits of `fd_gen` (same CAS discipline).
-  void StoreFdsLane(u64 fd_gen);
 
   // Sets `bit` in every member (except `self`) whose share mask includes
   // `resource`. O(members): only the wrap fallback and forced-resync
@@ -272,27 +247,20 @@ class ShaddrBlock {
   Proc* plink_ SG_GUARDED_BY(listlock_) = nullptr;  // s_plink
   u32 refcnt_ SG_GUARDED_BY(listlock_) = 0;         // s_refcnt
 
-  // s_fupdsema. Its critical section is the O(changed) slot edits, one
-  // FileTable::Dup (a fetch_add) per copied slot, the rm kFiles atomics
-  // and FlagOthers; everything that may block runs outside it.
+  // s_fupdsema. Its critical section is one slot lookup or edit, a
+  // FileTable::Dup (a fetch_add) per reference taken and the rm kFiles
+  // atomics; everything that may block runs outside it.
   Spinlock fupdsema_{"shaddr.fupdsema"};
-  // s_ofile + s_pofile: the master descriptor table, generation-stamped
-  // per slot. Touched only inside the fupdsema_ bracket; the /proc
-  // snapshot reads the incremental ofile_count_ instead of walking it.
-  std::vector<MasterFdSlot> ofile_ SG_GUARDED_BY(fupdsema_);
-  // Full-width master-table generation; bumped once per publish that
-  // changed anything. Slots are stamped with it; members remember the
-  // value they last synced to (Proc::p_fd_synced_gen).
-  u64 fd_gen_ SG_GUARDED_BY(fupdsema_) = 1;
+  // s_ofile + s_pofile: the group's descriptor table, touched only inside
+  // the fupdsema_ bracket; the /proc snapshot reads the incremental
+  // ofile_count_ instead of walking it.
+  FdTable group_fds_ SG_GUARDED_BY(fupdsema_);
   std::atomic<int> ofile_count_{0};
 
-  // The packed per-resource generation word (see lane constants above).
-  // Scalar lanes are bumped under rupdlock_, the fds lane under the
-  // fupdsema_ bracket; cross-lane concurrency is resolved by CAS.
-  std::atomic<u64> resgen_{LaneSet(LaneSet(LaneSet(LaneSet(LaneSet(0, kLaneFds, 1), kLaneDir, 1),
-                                                   kLaneId, 1),
-                                           kLaneUmask, 1),
-                                   kLaneUlimit, 1)};
+  // The packed per-resource generation word (see lane constants above),
+  // bumped under rupdlock_.
+  std::atomic<u64> resgen_{
+      LaneSet(LaneSet(LaneSet(LaneSet(0, kLaneDir, 1), kLaneId, 1), kLaneUmask, 1), kLaneUlimit, 1)};
 
   mutable Spinlock rupdlock_{"shaddr.rupdlock"};  // s_rupdlock
   Inode* cdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_cdir
@@ -303,26 +271,25 @@ class ShaddrBlock {
   gid_t gid_ SG_GUARDED_BY(rupdlock_) = 0;          // s_gid
 };
 
-// The §6.3 descriptor-table update bracket, written once for every fd
-// syscall and for the kernel-entry pull:
+// The descriptor-table bracket, written once for every fd syscall:
 //
-//   FdUpdateBracket u(files, b, p);  // lock, pull-if-stale (double-update check)
-//   <edit p.fds; u.ReleaseLater(f) for each reference the edit drops>
-//   u.Publish();                     // copy the change to the master
+//   FdUpdateBracket u(files, b, p);  // lock the group table (if shared)
+//   <look up or edit u.table(); u.ReleaseLater(f) for a dropped reference>
+//   u.Publish(delta);                // account the edit's used-slot delta
 //   }                                // unlock, then release what was dropped
 //
-// With a null block (the caller does not share PR_SFDS) there is no lock,
-// pull or publish; ReleaseLater still defers to the end of the scope.
-// Only the caller's own table edits may run inside: the path walk of an
-// open and the creation of a pipe happen before the bracket (Linux's
-// do_filp_open before fd_install), and every last-reference drop after it.
+// With a null block (the caller does not share PR_SFDS) u.table() is the
+// caller's own p.fds and there is no lock or accounting; ReleaseLater
+// still defers to the end of the scope. Only table lookups and edits may
+// run inside: the path walk of an open and the creation of a pipe happen
+// before the bracket (Linux's do_filp_open before fd_install), and every
+// last-reference drop after it.
 class FdUpdateBracket {
  public:
   FdUpdateBracket(FileTable& files, ShaddrBlock* b, Proc& p) SG_NO_THREAD_SAFETY_ANALYSIS
-      : files_(files), b_(b), p_(p) {
+      : files_(files), b_(b), table_(b != nullptr ? b->group_fds_ : p.fds) {
     if (b_ != nullptr) {
       b_->LockFileUpdate();
-      b_->PullFdsIfFlagged(p_, *this);
     }
   }
   ~FdUpdateBracket() SG_NO_THREAD_SAFETY_ANALYSIS {
@@ -336,31 +303,62 @@ class FdUpdateBracket {
   FdUpdateBracket(const FdUpdateBracket&) = delete;
   FdUpdateBracket& operator=(const FdUpdateBracket&) = delete;
 
-  // Copies the caller's edited table to the master (no-op without a block).
-  void Publish() SG_NO_THREAD_SAFETY_ANALYSIS {
-    if (b_ != nullptr) {
-      b_->PublishFds(p_, *this);
-    }
-  }
+  // The table the caller's descriptors live in, valid until the bracket
+  // closes.
+  FdTable& table() { return table_; }
+
+  // Moves the group's open-file count and rm kFiles charge by `delta`, the
+  // change in used slots of this edit (no-op without a block).
+  void Publish(int delta);
+
   // Drops one reference once the bracket has unlocked: FileTable::Release's
   // zero crossing takes a shard mutex and Iputs the inode, and neither may
   // run under the spinlock.
   void ReleaseLater(OpenFile* f) {
-    SG_CHECK(ndropped_ < kMaxDropped);
+    SG_CHECK(ndropped_ < dropped_.size());
     dropped_[ndropped_++] = f;
   }
 
  private:
-  // No heap: a pull drops at most one reference per slot, a publish at
-  // most one per slot, and the syscall itself at most two (MakePipe's
-  // unwind).
-  static constexpr u32 kMaxDropped = 2 * FdTable::kMaxFds + 2;
-
   FileTable& files_;
   ShaddrBlock* const b_;
-  Proc& p_;
-  std::array<OpenFile*, kMaxDropped> dropped_;  // [0, ndropped_) are live
+  FdTable& table_;
+  // An edit drops at most two references (MakePipe's unwind).
+  std::array<OpenFile*, 2> dropped_;  // [0, ndropped_) are live
   u32 ndropped_ = 0;
+};
+
+// fget/fdput: the open file behind one descriptor, held for one syscall.
+// On a shared table the lookup runs inside the bracket and takes a counted
+// reference, released when this goes out of scope, so a member closing
+// the descriptor meanwhile drops only a count and never frees the file
+// under the reader. A private table is the caller's own: no lock and no
+// reference.
+class FileRef {
+ public:
+  FileRef(FileTable& files, ShaddrBlock* b, Proc& p, int fd)
+      : files_(files),
+        file_(b == nullptr ? p.fds.Get(fd) : GetShared(files, *b, p, fd)),
+        counted_(b != nullptr && file_.ok()) {}
+  ~FileRef() {
+    if (counted_) {
+      files_.Release(file_.value());
+    }
+  }
+  FileRef(const FileRef&) = delete;
+  FileRef& operator=(const FileRef&) = delete;
+
+  bool ok() const { return file_.ok(); }
+  Errno error() const { return file_.error(); }
+  OpenFile* value() const { return file_.value(); }
+
+ private:
+  // The slot's file, with one reference taken inside the bracket.
+  static Result<OpenFile*> GetShared(FileTable& files, ShaddrBlock& b, Proc& p, int fd);
+
+  FileTable& files_;
+  const Result<OpenFile*> file_;
+  const bool counted_;
 };
 
 }  // namespace sg

@@ -116,6 +116,15 @@ Result<OpenFile*> FdTable::ClearSlot(int fd) {
   return f;
 }
 
+void FdTable::ReleaseAll(FileTable& files) {
+  for (FdEntry& e : slots_) {
+    if (e.used()) {
+      files.Release(e.file);
+      e = FdEntry{};
+    }
+  }
+}
+
 int FdTable::OpenCount() const {
   int n = 0;
   for (const FdEntry& e : slots_) {

@@ -2,9 +2,11 @@
 //
 // A descriptor number indexes the process's FdTable (the paper's footnote 1:
 // "an index into the file table for a process, which holds pointers to open
-// file table entries"). Share groups with PR_SFDS keep a master copy of the
-// whole descriptor table in the shared-address block (s_ofile / s_pofile)
-// and resynchronize members on kernel entry (§6.3).
+// file table entries"). A share group with PR_SFDS has one descriptor table,
+// owned by the shared-address block (the paper's s_ofile / s_pofile): its
+// members look it up and edit it in place instead of keeping the paper's
+// per-member copies (DESIGN.md §4f), so an edit is visible to all of them
+// at once.
 #ifndef SRC_FS_FILE_H_
 #define SRC_FS_FILE_H_
 
@@ -34,7 +36,7 @@ inline constexpr u32 kOpenRdwr = kOpenRead | kOpenWrite;
 
 // One system file-table entry: an open instance of an inode with its own
 // offset and mode. Reference-counted through the intrusive atomic count:
-// descriptors (and the share block's master copy) hold counted references,
+// descriptors (private tables and the share block's) hold counted references,
 // so Dup/Release are one fetch_add/fetch_sub with no table lookup.
 class OpenFile {
  public:
@@ -123,8 +125,8 @@ struct FdEntry {
   bool used() const { return file != nullptr; }
 };
 
-// Per-process descriptor table. Plain data; the owning Proc (or the share
-// block, for its master copy) coordinates access.
+// A descriptor table. Plain data; its owner coordinates access: the Proc
+// for a private table, the share block's bracket for a PR_SFDS group's.
 class FdTable {
  public:
   static constexpr int kMaxFds = 64;  // NOFILES in V.3 was 20; we allow more
@@ -141,12 +143,11 @@ class FdTable {
 
   // Clears slot `fd` and returns the file that was there (caller releases).
   Result<OpenFile*> ClearSlot(int fd);
+  // Clears every slot, releasing the reference each one held.
+  void ReleaseAll(FileTable& files);
 
   bool ValidFd(int fd) const { return fd >= 0 && fd < kMaxFds; }
   int OpenCount() const;
-
-  std::vector<FdEntry>& slots() { return slots_; }
-  const std::vector<FdEntry>& slots() const { return slots_; }
 
  private:
   std::vector<FdEntry> slots_;

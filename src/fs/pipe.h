@@ -11,7 +11,7 @@
 
 #include "base/result.h"
 #include "base/types.h"
-#include "sync/semaphore.h"  // SleepMode
+#include "sync/wait.h"  // SleepMode
 
 namespace sg {
 

@@ -19,7 +19,7 @@
 #include "base/result.h"
 #include "base/types.h"
 #include "hw/phys_mem.h"
-#include "sync/semaphore.h"  // SleepMode
+#include "sync/wait.h"  // SleepMode
 #include "vm/region.h"
 
 namespace sg {

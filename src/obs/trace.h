@@ -32,7 +32,6 @@ enum class TraceKind : u16 {
   kTlbShootdown,    // arg0 = #TLBs flushed, arg1 = IPIs delivered
   kLockReadWait,    // shared read lock: reader blocked behind an updater
   kLockUpdateWait,  // shared read lock: updater blocked behind readers
-  kSemSleep,        // Semaphore::P slept; arg0 = 0
   kResourceSync,    // §6.3 kernel-entry pull; arg0 = p_flag sync bits
   kPagerSteal,      // arg0 = frames stolen
   kProcExit,        // arg0 = exit status, arg1 = terminating signal

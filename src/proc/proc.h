@@ -63,15 +63,14 @@ class ShaddrPtr {
   std::atomic<ShaddrBlock*> p_{nullptr};
 };
 
-// p_flag bits. The five sync bits say "your private copy of this resource
+// p_flag bits. The four sync bits say "your private copy of this resource
 // is stale; resynchronize from the shared-address block on kernel entry".
-inline constexpr u32 kPfSyncFds = 1u << 0;
-inline constexpr u32 kPfSyncDir = 1u << 1;
-inline constexpr u32 kPfSyncId = 1u << 2;
-inline constexpr u32 kPfSyncUmask = 1u << 3;
-inline constexpr u32 kPfSyncUlimit = 1u << 4;
-inline constexpr u32 kPfSyncAny =
-    kPfSyncFds | kPfSyncDir | kPfSyncId | kPfSyncUmask | kPfSyncUlimit;
+// Descriptors have none: PR_SFDS members use the block's table itself.
+inline constexpr u32 kPfSyncDir = 1u << 0;
+inline constexpr u32 kPfSyncId = 1u << 1;
+inline constexpr u32 kPfSyncUmask = 1u << 2;
+inline constexpr u32 kPfSyncUlimit = 1u << 3;
+inline constexpr u32 kPfSyncAny = kPfSyncDir | kPfSyncId | kPfSyncUmask | kPfSyncUlimit;
 
 enum class ProcState {
   kEmbryo,   // allocated, not yet started
@@ -106,12 +105,12 @@ class Proc final : public ExecutionContext {
   std::atomic<u32> p_shmask{0};   // resources this member shares
   std::atomic<u32> p_flag{0};     // sync bits (see above)
   Proc* s_plink = nullptr;        // next member in the share group chain
-  // Generation caches for the §6.3 delta-sync protocol (DESIGN.md §4f).
-  // Owner-thread only: written by this process's own kernel entries and
-  // updates. Other members communicate through the block's generations and
-  // the p_flag bits, never by touching these.
-  u64 p_resgen = 0;         // packed per-resource gen word last synced against
-  u64 p_fd_synced_gen = 0;  // master fd-table generation our fd table reflects
+  // Generation cache for the §6.3 scalar sync protocol (DESIGN.md §4f):
+  // the packed per-resource gen word last synced against. Owner-thread
+  // only: written by this process's own kernel entries and updates. Other
+  // members communicate through the block's generations and the p_flag
+  // bits, never by touching it.
+  u64 p_resgen = 0;
   // Fair-share account of this member's group (src/rm/). Set by attach
   // before the member is linked, cleared by detach before the node can die;
   // read on every scheduler call below, so lifetime follows membership
@@ -124,6 +123,8 @@ class Proc final : public ExecutionContext {
   u64 stack_max_pages = kDefaultStackMaxPages;  // PR_SETSTACKSIZE; inherited
 
   // ----- u-area: filesystem state (share-group shareable resources) -----
+  // The private descriptor table. Empty while the process shares PR_SFDS:
+  // its descriptors then live in the share block (FdUpdateBracket).
   FdTable fds;
   Inode* cwd = nullptr;      // counted ref
   Inode* rootdir = nullptr;  // counted ref

@@ -3,7 +3,7 @@
 //
 // Every simulated process runs its user code (and the kernel code of its own
 // syscalls) on a host thread that holds a simulated-CPU slot while RUNNING.
-// When a kernel primitive must sleep (semaphore P, shared-read-lock wait,
+// When a kernel primitive must sleep (shared-read-lock wait, barrier,
 // pipe full/empty, wait(2)...), it releases the slot via WillBlock() so
 // another runnable process can execute, and reacquires it via DidWake()
 // after the host-level wait completes.

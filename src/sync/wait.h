@@ -22,9 +22,13 @@
 #include "base/result.h"
 #include "sync/execution_context.h"
 #include "sync/lockdep.h"
-#include "sync/semaphore.h"  // SleepMode
 
 namespace sg {
+
+enum class SleepMode {
+  kUninterruptible,  // sleep until the resource is available
+  kInterruptible,    // additionally wake with EINTR on a pending signal
+};
 
 template <typename Pred>
 Status BlockOn(std::condition_variable& cv, std::unique_lock<std::mutex>& l, SleepMode mode,

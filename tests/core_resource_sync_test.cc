@@ -1,14 +1,15 @@
-// §6.3 resource synchronization: descriptor propagation through s_ofile,
-// directory/umask/ulimit/id propagation through the shared block, the
-// p_flag sync bits, and the block's own reference counts.
+// §6.3 resource synchronization: the group's one descriptor table (s_ofile)
+// and the copies made when a process stops sharing it, directory/umask/
+// ulimit/id propagation through the shared block, the p_flag sync bits, and
+// the block's own reference counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 
+#include "api/image.h"
 #include "api/kernel.h"
 #include "api/user_env.h"
-#include "obs/stats.h"
 
 namespace sg {
 namespace {
@@ -18,6 +19,17 @@ void RunAsProcess(Kernel& k, std::function<void(Env&)> body) {
   auto pid = k.Launch([body = std::move(body)](Env& env, long) { body(env); });
   ASSERT_TRUE(pid.ok());
   k.WaitAll();
+}
+
+// The inode behind `fd` in `env`'s view of its table, or 0 if `fd` is not
+// open there.
+u64 InoOf(Env& env, int fd) {
+  auto st = env.kernel().Fstat(env.proc(), fd);
+  return st.ok() ? st.value().ino : 0;
+}
+
+u64 InoAt(Env& env, std::string_view path) {
+  return env.kernel().Stat(env.proc(), path).value().ino;
 }
 
 TEST(FdSharing, OpenInChildVisibleInParent) {
@@ -122,45 +134,171 @@ TEST(FdSharing, Dup2AndCloexecPropagate) {
         },
         PR_SFDS);
     env.WaitChild();
-    // Our next entry delta-pulls exactly the two touched slots: the dup'd
-    // descriptor works here, and the flag byte arrived with the original.
-    EXPECT_GE(env.WriteStr(17, "x"), 0);
-    EXPECT_TRUE(env.proc().fds.Slot(fd).close_on_exec);
-    // Both numbers refer to the same open-file entry (shared offset).
-    EXPECT_EQ(env.proc().fds.Get(fd).value(), env.proc().fds.Get(17).value());
+    // Both edits are in our table: the dup'd descriptor works here, and the
+    // flag byte is set on the original only.
+    EXPECT_EQ(env.WriteStr(17, "x"), 1);
+    EXPECT_TRUE(env.kernel().GetCloexec(env.proc(), fd).value());
+    EXPECT_FALSE(env.kernel().GetCloexec(env.proc(), 17).value());
+    // Both numbers refer to the same open-file entry: the write through 17
+    // moved fd's offset.
+    EXPECT_EQ(env.Lseek(fd, 0, SeekWhence::kCur), 1);
+    // Our own dup2 of the flagged descriptor starts with the flag clear.
+    EXPECT_EQ(env.Dup2(fd, 18), 18);
+    EXPECT_FALSE(env.kernel().GetCloexec(env.proc(), 18).value());
   });
 }
 
-TEST(FdSharing, SingleChangePullsSingleSlot) {
+// PR_UNSHARE(PR_SFDS) gives the caller a private copy of the group table:
+// from then on neither side sees the other's opens and closes.
+TEST(FdSharing, UnshareLeavesPrivateCopy) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {
-    // Fill 48 descriptors BEFORE the group forms; the child inherits a
-    // fully synchronized view of all of them.
-    for (int i = 0; i < 48; ++i) {
-      ASSERT_GE(env.Open("/bulk" + std::to_string(i), kOpenWrite | kOpenCreat), 0);
-    }
-    std::atomic<bool> go{false};
-    std::atomic<bool> pulled{false};
+    const int shared = env.Open("/shared0", kOpenRdwr | kOpenCreat);
+    ASSERT_EQ(shared, 0);
+    ASSERT_EQ(env.Close(env.Open("/child-only", kOpenWrite | kOpenCreat)), 0);
+    std::atomic<int> stage{0};
+    std::atomic<int> parent_fd{-1};
     env.Sproc(
         [&](Env& c, long) {
-          while (!go.load()) {
+          const i64 mask = c.Prctl(PR_UNSHARE, PR_SFDS);
+          ASSERT_GE(mask, 0);
+          EXPECT_EQ(static_cast<u32>(mask) & PR_SFDS, 0u);
+          // The copy holds the group's descriptors...
+          EXPECT_EQ(InoOf(c, shared), InoAt(c, "/shared0"));
+          // ...and our edits stay in it.
+          EXPECT_EQ(c.Close(shared), 0);
+          EXPECT_EQ(c.Open("/child-only", kOpenRead), shared);
+          stage = 1;
+          while (parent_fd.load() < 0) {
           }
-          (void)c.UlimitGet();  // kernel entry: the measured delta pull
-          pulled = true;
+          EXPECT_EQ(InoOf(c, parent_fd.load()), 0u);  // the group's later open
         },
         PR_SFDS);
-    // One new descriptor: the publish stamps exactly one slot.
-    ASSERT_GE(env.Open("/one-more", kOpenWrite | kOpenCreat), 0);
-    const u64 before = obs::Stats::Global().CounterValue("core.fds.delta_pulled_slots");
-    go = true;
-    while (!pulled.load()) {
+    while (stage.load() != 1) {
     }
-    const u64 after = obs::Stats::Global().CounterValue("core.fds.delta_pulled_slots");
-    // O(changed), not O(table): 48 synced descriptors cost nothing, the one
-    // change costs one slot.
-    EXPECT_EQ(after - before, 1u);
+    // The child's close and open never reached the group table.
+    EXPECT_EQ(InoOf(env, shared), InoAt(env, "/shared0"));
+    parent_fd = env.Open("/parent-only", kOpenWrite | kOpenCreat);
+    EXPECT_EQ(parent_fd.load(), 1);
     env.WaitChild();
+    EXPECT_EQ(env.kernel().BlockOf(env.proc())->OfileCount(), 2);
   });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+// exec(2) from a PR_SFDS member leaves the group with a copy of the table
+// and closes the close-on-exec descriptors in that copy only.
+TEST(FdSharing, ExecClosesCloexecInItsOwnCopyOnly) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    const int coe = env.Open("/coe", kOpenRdwr | kOpenCreat);
+    const int plain = env.Open("/plain", kOpenRdwr | kOpenCreat);
+    ASSERT_GE(coe, 0);
+    ASSERT_GE(plain, 0);
+    ASSERT_EQ(env.WriteStr(coe, "still"), 5);
+    ASSERT_EQ(env.SetCloexec(coe, true), 0);
+    std::atomic<bool> ran{false};
+    env.Sproc(
+        [&](Env& c, long) {
+          Image img;
+          img.main = [&](Env& e2, long) {
+            EXPECT_EQ(e2.proc().shaddr, nullptr);
+            EXPECT_LT(e2.WriteStr(coe, "x"), 0);  // closed by exec
+            EXPECT_EQ(e2.LastError(), Errno::kEBADF);
+            EXPECT_EQ(e2.WriteStr(plain, "y"), 1);  // survived, in the copy
+            EXPECT_EQ(e2.Close(plain), 0);          // a private close
+            ran = true;
+          };
+          c.Exec(img);
+        },
+        PR_SFDS | PR_SADDR);
+    env.WaitChild();
+    ASSERT_TRUE(ran.load());
+    // The group still has both descriptors, flag included.
+    EXPECT_TRUE(env.kernel().GetCloexec(env.proc(), coe).value());
+    ASSERT_EQ(env.Lseek(coe, 0), 0);
+    char buf[5] = {};
+    EXPECT_EQ(env.ReadBuf(coe, std::as_writable_bytes(std::span<char>(buf, 5))), 5);
+    EXPECT_EQ(std::string_view(buf, 5), "still");
+    EXPECT_EQ(env.WriteStr(plain, "z"), 1);
+  });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+// fork(2), and sproc without PR_SFDS, from a sharing member copy the group
+// table as it is at that moment; later edits on either side stay apart.
+TEST(FdSharing, ForkAndNonSharingSprocSnapshotGroupTable) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    const int a = env.Open("/snap-a", kOpenRdwr | kOpenCreat);
+    ASSERT_EQ(a, 0);
+    env.Sproc([](Env&, long) {}, PR_SFDS);  // forms the group
+    env.WaitChild();
+    for (int round = 0; round < 2; ++round) {
+      std::atomic<int> late{-1};
+      std::atomic<bool> child_done{false};
+      auto child = [&](Env& c, long) {
+        EXPECT_EQ(InoOf(c, a), InoAt(c, "/snap-a"));
+        while (late.load() < 0) {
+        }
+        EXPECT_EQ(InoOf(c, late.load()), 0u);  // opened after the copy
+        EXPECT_EQ(c.Close(a), 0);
+        EXPECT_EQ(c.Open("/snap-private", kOpenWrite | kOpenCreat), a);
+        child_done = true;
+      };
+      if (round == 0) {
+        ASSERT_GT(env.Fork(child), 0);
+      } else {
+        ASSERT_GT(env.Sproc(child, PR_SADDR), 0);
+      }
+      late = env.Open("/snap-late", kOpenWrite | kOpenCreat);
+      ASSERT_EQ(late.load(), 1);
+      env.WaitChild();
+      ASSERT_TRUE(child_done.load());
+      EXPECT_EQ(InoOf(env, a), InoAt(env, "/snap-a"));  // the child's close stayed its own
+      EXPECT_EQ(env.Close(late.load()), 0);
+    }
+  });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+// PR_JOINGROUP replaces the joiner's private table with the group's; the
+// joiner's own files are released.
+TEST(FdSharing, JoinGroupAdoptsGroupTable) {
+  Kernel k;
+  FileTable& files = k.vfs().files();
+  std::atomic<pid_t> founder_pid{0};
+  std::atomic<bool> joined{false};
+  std::atomic<bool> checked{false};
+  auto founder = k.Launch([&](Env& env, long) {
+    ASSERT_EQ(env.Open("/group-file", kOpenRdwr | kOpenCreat), 0);
+    env.Sproc([](Env&, long) {}, PR_SALL);  // create the group
+    env.WaitChild();
+    founder_pid = env.Pid();
+    while (!checked.load()) {
+      env.Yield();
+    }
+  });
+  auto joiner = k.Launch([&](Env& env, long) {
+    ASSERT_EQ(env.Open("/joiner-own", kOpenWrite | kOpenCreat), 0);
+    ASSERT_EQ(env.Dup(0), 1);
+    while (founder_pid.load() == 0) {
+      env.Yield();
+    }
+    const u64 with_own = files.Count();
+    ASSERT_GT(env.Prctl(PR_JOINGROUP, founder_pid.load()), 0);
+    joined = true;
+    // Our one open file (two descriptors) is gone; fd 0 is the group's.
+    EXPECT_EQ(files.Count(), with_own - 1);
+    EXPECT_EQ(InoOf(env, 0), InoAt(env, "/group-file"));
+    EXPECT_EQ(InoOf(env, 1), 0u);
+    checked = true;
+  });
+  ASSERT_TRUE(founder.ok() && joiner.ok());
+  k.WaitAll();
+  EXPECT_TRUE(joined.load());
+  EXPECT_EQ(files.Count(), 0u);
+  EXPECT_EQ(k.LiveBlocks(), 0u);
 }
 
 TEST(DirSharing, ChdirPropagatesToGroup) {
@@ -263,10 +401,17 @@ TEST(SyncBits, GenerationLagsOnOthersAndCatchesUpOnEntry) {
 
 TEST(SyncBits, BlockHoldsItsOwnReferences) {
   Kernel k;
+  FileTable& files = k.vfs().files();
   RunAsProcess(k, [&](Env& env) {
     int fd = env.Open("/held", kOpenWrite | kOpenCreat);
     ASSERT_GE(fd, 0);
-    // Create the group: the block copies the fd table, bumping refs.
+    OpenFile* f = nullptr;
+    {
+      FileRef ref(files, nullptr, env.proc(), fd);
+      f = ref.value();
+    }
+    EXPECT_EQ(files.RefCount(f), 1u);
+    // Create the group: our table moves into the block, references and all.
     std::atomic<bool> gate{false};
     env.Sproc(
         [&](Env& c, long) {
@@ -275,14 +420,14 @@ TEST(SyncBits, BlockHoldsItsOwnReferences) {
           }
         },
         PR_SFDS);
-    OpenFile* f = env.proc().fds.Get(fd).value();
-    // Our slot + the block's master copy + the live child's inherited slot.
-    EXPECT_EQ(env.kernel().vfs().files().RefCount(f), 3u);
+    // One table, one reference: the live child has no copy of its own.
+    EXPECT_EQ(files.RefCount(f), 1u);
     gate = true;
     env.WaitChild();
-    // The child's reference died with it; the block still holds its own, so
-    // the entry survives any member's exit (§6.3 race avoidance).
-    EXPECT_EQ(env.kernel().vfs().files().RefCount(f), 2u);
+    // The block's reference survives any member's exit (§6.3 race
+    // avoidance).
+    EXPECT_EQ(files.RefCount(f), 1u);
+    EXPECT_EQ(env.WriteStr(fd, "x"), 1);
   });
 }
 

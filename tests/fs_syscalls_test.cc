@@ -201,14 +201,14 @@ TEST(FsCalls, UnlinkedCwdReportsDisconnected) {
   });
 }
 
-// Regression: a sibling snapshotting the shared master table (the
+// Regression: a sibling snapshotting the group's descriptor table (the
 // /proc/share/<gid> path goes through ShaddrBlock::OfileCount) while a
-// PR_SFDS member grows it under s_fupdsema. PublishFds used to rebuild
+// PR_SFDS member grows it under s_fupdsema. The publish step once rebuilt
 // the master vector in place — a concurrent reader could observe the
 // vector mid-realloc (use-after-free of the old backing store). Today the
 // snapshot reads the incrementally maintained atomic count and never walks
-// the vector at all; the race this pins down is the counter staying
-// coherent (and the process not crashing) under concurrent publishes.
+// the table at all; the race this pins down is the counter staying
+// coherent (and the process not crashing) under concurrent edits.
 TEST(FsCalls, OfileSnapshotRacesGrowingMasterTable) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {
@@ -244,22 +244,28 @@ TEST(FsCalls, OfileSnapshotRacesGrowingMasterTable) {
   EXPECT_EQ(k.vfs().files().Count(), 0u);
 }
 
-// A file's last reference drops inside a member's deferred release: A
-// closes the file while B still holds it through its not-yet-synced table.
-// B's next kernel entry pulls the close, and the reference it drops is the
-// last one — released after the descriptor bracket unlocks (the zero
-// crossing takes a FileTable shard mutex and Iputs the inode).
+#if defined(SG_INJECT_ENABLED)
+
+// A member closes a descriptor while another member is blocked reading it:
+// the close drops only the table's reference, and the file's last reference
+// drops when the reader's syscall ends — on the reader's thread, with no
+// lock held (the zero crossing takes a FileTable shard mutex and Iputs the
+// inode).
 TEST(FsCalls, LastReferenceDropsInMembersDeferredRelease) {
   Kernel k;
   FileTable& files = k.vfs().files();
-  InodeTable& inodes = k.vfs().inodes();
   std::atomic<std::thread::id> b_thread{};
+  std::atomic<bool> b_holds{false};
   std::atomic<int> last_drops_on_b{0};
   std::atomic<int> last_drops_with_lock_held{0};
   inject::PlanConfig cfg;
   cfg.on_point = [&](const char* point) {
-    if (std::strcmp(point, "file.release.last") == 0 &&
-        std::this_thread::get_id() == b_thread.load()) {
+    if (std::this_thread::get_id() != b_thread.load()) {
+      return;
+    }
+    if (std::strcmp(point, "file.dup") == 0) {
+      b_holds = true;  // the reader's fget took its reference
+    } else if (std::strcmp(point, "file.release.last") == 0) {
       last_drops_on_b.fetch_add(1);
       if (lockdep::HeldCount() != 0) {
         last_drops_with_lock_held.fetch_add(1);
@@ -269,47 +275,99 @@ TEST(FsCalls, LastReferenceDropsInMembersDeferredRelease) {
   inject::InjectionPlan plan(0x1A57u, cfg);
   inject::ScopedInjection active(plan);
   RunAsProcess(k, [&](Env& env) {
-    // Baselines with the file created but closed.
-    int fd = env.Open("/lastref", kOpenRdwr | kOpenCreat);
-    ASSERT_GE(fd, 0);
-    Inode* ip = env.proc().fds.Get(fd).value()->inode();
-    ASSERT_EQ(env.Close(fd), 0);
-    const u64 files_base = files.Count();
-    const u64 inodes_base = inodes.Count();
-    const u32 inode_refs_base = inodes.RefCount(ip);
-
-    fd = env.Open("/lastref", kOpenRdwr);
-    ASSERT_GE(fd, 0);
-    OpenFile* of = env.proc().fds.Get(fd).value();
-    std::atomic<int> stage{0};
+    int rd = -1;
+    int wr = -1;
+    ASSERT_EQ(env.Pipe(&rd, &wr), 0);
     env.Sproc(
         [&](Env& c, long) {
           b_thread = std::this_thread::get_id();
-          stage = 1;
-          // Host-level wait: no kernel entry (so no pull) until A closed.
-          while (stage.load() != 2) {
-            std::this_thread::yield();
-          }
-          EXPECT_EQ(files.RefCount(of), 1u);  // only B's stale slot is left
-          (void)c.Getuid();                   // kernel entry: pull the close
-          EXPECT_FALSE(c.proc().fds.Get(fd).ok());
-          EXPECT_EQ(files.Count(), files_base);
-          EXPECT_EQ(inodes.Count(), inodes_base);
-          EXPECT_EQ(inodes.RefCount(ip), inode_refs_base);
+          char buf[4] = {};
+          // Blocks on the empty pipe, holding the read end.
+          EXPECT_EQ(c.ReadBuf(rd, std::as_writable_bytes(std::span<char>(buf, 4))), 4);
+          EXPECT_EQ(std::string_view(buf, 4), "ping");
+          EXPECT_LT(c.ReadBuf(rd, std::as_writable_bytes(std::span<char>(buf, 4))), 0);
+          EXPECT_EQ(c.LastError(), Errno::kEBADF);
         },
         PR_SFDS);
-    while (stage.load() != 1) {
+    while (!b_holds.load()) {
       std::this_thread::yield();
     }
-    ASSERT_EQ(env.Close(fd), 0);  // drops A's and the master's references
-    stage = 2;
+    ASSERT_EQ(env.Close(rd), 0);  // the reader's reference keeps the pipe open
+    EXPECT_EQ(env.WriteStr(wr, "ping"), 4);
     env.WaitChild();
+    EXPECT_EQ(env.Close(wr), 0);
   });
-#if defined(SG_INJECT_ENABLED)
   EXPECT_EQ(last_drops_on_b.load(), 1);
-#endif
   EXPECT_EQ(last_drops_with_lock_held.load(), 0);
   EXPECT_EQ(files.Count(), 0u);
+  EXPECT_EQ(k.LiveBlocks(), 0u);
+}
+
+#endif  // SG_INJECT_ENABLED
+
+// Close-vs-read storm: one member reads a descriptor in a loop while
+// another closes it and reopens a different file on the same number. Every
+// read sees one whole file — all of its bytes come from one open-file entry
+// — or EBADF, and nothing leaks.
+TEST(FsCalls, CloseVsReadStorm) {
+  Kernel k;
+  FileTable& files = k.vfs().files();
+  InodeTable& inodes = k.vfs().inodes();
+  constexpr int kSwaps = 400;
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> good_reads{0};
+  u64 inodes_base = 0;
+  RunAsProcess(k, [&](Env& env) {
+    const std::string fill_a(32, 'A');
+    const std::string fill_b(32, 'B');
+    for (const char* path : {"/storm-a", "/storm-b"}) {
+      const int fd = env.Open(path, kOpenWrite | kOpenCreat);
+      ASSERT_EQ(fd, 0);
+      ASSERT_EQ(env.WriteStr(fd, path[7] == 'a' ? fill_a : fill_b), 32);
+      ASSERT_EQ(env.Close(fd), 0);
+    }
+    inodes_base = inodes.Count();
+    const int fd = env.Open("/storm-a", kOpenRead);
+    ASSERT_EQ(fd, 0);
+    std::atomic<bool> done{false};
+    env.Sproc(
+        [&](Env& c, long) {
+          char buf[8];
+          while (!done.load()) {
+            (void)c.Lseek(fd, 0);
+            const i64 n = c.ReadBuf(fd, std::as_writable_bytes(std::span<char>(buf, 8)));
+            if (n < 0) {
+              if (c.LastError() != Errno::kEBADF) {
+                bad_reads.fetch_add(1);
+              }
+              continue;
+            }
+            for (i64 i = 1; i < n; ++i) {
+              if (buf[i] != buf[0]) {
+                bad_reads.fetch_add(1);
+              }
+            }
+            if (n > 0 && buf[0] != 'A' && buf[0] != 'B') {
+              bad_reads.fetch_add(1);
+            }
+            good_reads.fetch_add(1);
+          }
+        },
+        PR_SFDS);
+    for (int i = 0; i < kSwaps; ++i) {
+      ASSERT_EQ(env.Close(fd), 0);
+      ASSERT_EQ(env.Open(i % 2 == 0 ? "/storm-b" : "/storm-a", kOpenRead), fd);
+      if (i % 16 == 0) {
+        env.Yield();
+      }
+    }
+    done = true;
+    env.WaitChild();
+  });
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(good_reads.load(), 0);
+  EXPECT_EQ(files.Count(), 0u);
+  EXPECT_EQ(inodes.Count(), inodes_base);
   EXPECT_EQ(k.LiveBlocks(), 0u);
 }
 
@@ -318,8 +376,7 @@ TEST(FsCalls, LastReferenceDropsInMembersDeferredRelease) {
 // open(2) walks the path before it takes the descriptor bracket: while one
 // member is parked between its walk and the install (the
 // fs.open.pre_install seam), another member's whole open completes. The
-// parked open then installs into the next free slot, with the other
-// member's file already pulled into its table.
+// parked open then installs into the next free slot of the same table.
 TEST(FsCalls, OpenWalkRunsOutsideDescriptorBracket) {
   Kernel k;
   std::atomic<std::thread::id> a_thread{};
@@ -358,8 +415,8 @@ TEST(FsCalls, OpenWalkRunsOutsideDescriptorBracket) {
     ASSERT_GE(fd_a, 0);
     ASSERT_GE(fd_b.load(), 0);
     EXPECT_NE(fd_a, fd_b.load());
-    // A's bracket pulled B's open before installing its own.
-    EXPECT_TRUE(env.proc().fds.Get(fd_b.load()).ok());
+    // B's open is in A's table.
+    EXPECT_TRUE(env.kernel().GetCloexec(env.proc(), fd_b.load()).ok());
     EXPECT_EQ(env.Close(fd_a), 0);
     EXPECT_EQ(env.Close(fd_b.load()), 0);
   });
@@ -382,7 +439,7 @@ TEST(FsCalls, ContendedBracketSpinsAndIsTimed) {
   std::atomic<bool> b_waited{false};
   inject::PlanConfig cfg;
   cfg.on_point = [&](const char* point) {
-    if (std::strcmp(point, "shaddr.fds.delta_publish") != 0 ||
+    if (std::strcmp(point, "shaddr.fds.publish") != 0 ||
         std::this_thread::get_id() != a_thread.load() || a_parked.exchange(true)) {
       return;
     }

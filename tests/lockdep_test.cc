@@ -4,8 +4,8 @@
 // validator implements:
 //   1. acquisition-order cycles (AB/BA inversion across threads or within
 //      one thread) are reported the moment the closing edge appears;
-//   2. declaring sleep intent (Semaphore::P and friends) while holding a
-//      spinlock is reported.
+//   2. declaring sleep intent (Barrier::Arrive, BlockOn and friends) while
+//      holding a spinlock is reported.
 // Plus the "clean protocol" case: the kernel's real lock nesting produces
 // zero reports.
 //
@@ -16,9 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 
-#include "sync/semaphore.h"
+#include "sync/barrier.h"
 #include "sync/spinlock.h"
 
 namespace sg {
@@ -130,38 +131,38 @@ TEST_F(LockdepTest, ThreeLockCycleReports) {
   EXPECT_EQ(lockdep::Reports(), 1u);
 }
 
+// A one-party barrier never waits, but Arrive declares its sleep intent to
+// the validator all the same.
 TEST_F(LockdepTest, SleepUnderSpinlockReports) {
   Spinlock spin("test.sleep_spin");
-  Semaphore sema{1};
+  Barrier solo{1};
+  std::mutex m;
   {
     SpinGuard g(spin);
-    (void)sema.TryP();  // TryP never sleeps: must NOT report
+    std::unique_lock<std::mutex> l(m, std::try_to_lock);  // a try never sleeps: must NOT report
   }
-  sema.V();
   EXPECT_EQ(lockdep::Reports(), 0u);
   {
     SpinGuard g(spin);
-    (void)sema.P();  // declares sleep intent while test.sleep_spin is held
+    solo.Arrive();  // declares sleep intent while test.sleep_spin is held
   }
-  sema.V();
   EXPECT_EQ(lockdep::Reports(), 1u);
   EXPECT_NE(lockdep::RenderReport().find("test.sleep_spin"), std::string::npos);
 }
 
 TEST_F(LockdepTest, SleepSiteReportedOnce) {
   Spinlock spin("test.sleep_once");
-  Semaphore sema{3};
+  Barrier solo{1};
   for (int i = 0; i < 3; ++i) {
     SpinGuard g(spin);
-    (void)sema.P();
+    solo.Arrive();
   }
   EXPECT_EQ(lockdep::Reports(), 1u);
 }
 
 TEST_F(LockdepTest, SleepWithNoSpinlockHeldIsClean) {
-  Semaphore sema{1};
-  (void)sema.P();
-  sema.V();
+  Barrier solo{1};
+  solo.Arrive();
   EXPECT_EQ(lockdep::Reports(), 0u);
 }
 

@@ -1,6 +1,6 @@
 // Direct ShaddrBlock unit tests (no kernel): the member chain at the
-// structure level, master-copy seeding, and the TryAddMember drain guard
-// that PR_JOINGROUP relies on.
+// structure level, master-copy seeding, the group descriptor table, and the
+// TryAddMember drain guard that PR_JOINGROUP relies on.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -39,14 +39,6 @@ struct Rig {
   void Attach(ShaddrBlock& blk, Proc& p, u32 mask) {
     blk.rm_node()->ChargeForced(rm::Resource::kMembers, 1);
     blk.AddMember(p, mask);
-  }
-  void ReleaseFds(Proc& p) {
-    for (FdEntry& e : p.fds.slots()) {
-      if (e.used()) {
-        vfs.files().Release(e.file);
-        e = FdEntry{};
-      }
-    }
   }
 };
 
@@ -170,50 +162,54 @@ TEST(ShaddrUnit, ScalarLaneWrapFallsBackToFlagging) {
   rig.DestroyProc(*b);
 }
 
-TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
+// The founder's descriptor table moves into the block (no Dup), every
+// member's bracket opens the same table, and a FileRef holds its file
+// across another member's close.
+TEST(ShaddrUnit, FounderTableMovesIntoBlock) {
   Rig rig;
+  FileTable& files = rig.vfs.files();
   auto a = rig.MakeProc(1);
   auto b = rig.MakeProc(2);
-  // a holds one open file in slot 0 before the group forms, so the block's
-  // master copy seeds with it.
-  OpenFile* f = rig.vfs.files().Alloc(rig.vfs.inodes().Iget(rig.vfs.root()), kOpenRead).value();
+  OpenFile* f = files.Alloc(rig.vfs.inodes().Iget(rig.vfs.root()), kOpenRead).value();
   ASSERT_TRUE(a->fds.SetSlot(0, f, false).ok());
   {
     ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
     rig.Attach(block, *b, PR_SFDS);
-    // Raw attach (no sproc seeding): force a full reconcile, the same way
-    // PR_JOINGROUP initializes a dynamic joiner.
-    b->p_flag.fetch_or(kPfSyncFds, std::memory_order_acq_rel);
-    { FdUpdateBracket pull(rig.vfs.files(), &block, *b); }  // b catches up (and dups slot 0)
-    EXPECT_EQ(rig.vfs.files().RefCount(f), 3u);  // a + master + b
+    EXPECT_EQ(files.RefCount(f), 1u);
+    EXPECT_FALSE(a->fds.Get(0).ok());  // no private copy left behind
+    EXPECT_EQ(block.OfileCount(), 1);
+    EXPECT_EQ(block.rm_node()->used(rm::Resource::kFiles), 1u);
 
-    // Drive the full-width table generation around the 16-bit lane mirror
-    // by toggling slot 0's flag byte (one changed slot per publish, no
-    // refcount traffic). After 2^16 publishes b's cached lane ALIASES the
-    // block's again; only the wrap's FlagOthers fallback can catch it.
-    bool flagged_at_wrap = false;
-    for (u64 i = 0; i < LaneLimit(kLaneFds); ++i) {
-      a->fds.Slot(0).close_on_exec = !a->fds.Slot(0).close_on_exec;
-      FdUpdateBracket u(rig.vfs.files(), &block, *a);
-      u.Publish();
-      if ((b->p_flag.load() & kPfSyncFds) != 0) {
-        flagged_at_wrap = true;
-      }
+    // b's edit is a's view at once: there is nothing to pull.
+    {
+      FdUpdateBracket u(files, &block, *b);
+      u.table().Slot(0).close_on_exec = true;
     }
-    EXPECT_TRUE(flagged_at_wrap);
-    EXPECT_EQ(LaneGet(b->p_resgen, kLaneFds), LaneGet(block.resgen(), kLaneFds));
-    // The forced (flag-driven) pull reconciles despite the lane alias.
-    block.SyncOnKernelEntry(*b);
-    EXPECT_EQ(b->fds.Slot(0).close_on_exec, a->fds.Slot(0).close_on_exec);
-    EXPECT_EQ(b->p_flag.load() & kPfSyncFds, 0u);
+    {
+      FdUpdateBracket u(files, &block, *a);
+      EXPECT_TRUE(u.table().Slot(0).close_on_exec);
+    }
 
-    rig.ReleaseFds(*a);
-    rig.ReleaseFds(*b);
+    {
+      FileRef ref(files, &block, *b, 0);
+      ASSERT_TRUE(ref.ok());
+      EXPECT_EQ(files.RefCount(f), 2u);
+      {
+        FdUpdateBracket u(files, &block, *a);
+        u.ReleaseLater(u.table().ClearSlot(0).value());
+        u.Publish(-1);
+      }
+      EXPECT_EQ(files.RefCount(f), 1u);  // only the reader's is left
+      EXPECT_EQ(files.Count(), 1u);
+    }
+    EXPECT_EQ(files.Count(), 0u);
+    EXPECT_EQ(block.OfileCount(), 0);
+    EXPECT_EQ(block.rm_node()->used(rm::Resource::kFiles), 0u);
+    EXPECT_FALSE(FileRef(files, &block, *b, 0).ok());
+
     EXPECT_FALSE(block.RemoveMember(*b));
     EXPECT_TRUE(block.RemoveMember(*a));
   }
-  // Refcount balance: member slots and the block's master copy all dropped.
-  EXPECT_EQ(rig.vfs.files().Count(), 0u);
   rig.DestroyProc(*a);
   rig.DestroyProc(*b);
 }

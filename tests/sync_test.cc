@@ -1,4 +1,4 @@
-// Unit tests for sync/: spinlock, semaphore, barrier, and — most
+// Unit tests for sync/: spinlock, wait channels, barrier, and — most
 // importantly — the paper's shared read lock (s_acclck/s_acccnt/s_waitcnt/
 // s_updwait construction, §6.2).
 #include <gtest/gtest.h>
@@ -10,9 +10,9 @@
 #include "obs/stats.h"
 #include "sync/barrier.h"
 #include "sync/execution_context.h"
-#include "sync/semaphore.h"
 #include "sync/shared_read_lock.h"
 #include "sync/spinlock.h"
+#include "sync/wait.h"
 
 namespace sg {
 namespace {
@@ -44,54 +44,6 @@ TEST(Spinlock, TryLock) {
   lock.Unlock();
   EXPECT_TRUE(lock.TryLock());
   lock.Unlock();
-}
-
-TEST(Semaphore, CountingSemantics) {
-  Semaphore sem(2);
-  EXPECT_TRUE(sem.TryP());
-  EXPECT_TRUE(sem.TryP());
-  EXPECT_FALSE(sem.TryP());
-  sem.V();
-  EXPECT_EQ(sem.count(), 1);
-  EXPECT_TRUE(sem.TryP());
-}
-
-TEST(Semaphore, PBlocksUntilV) {
-  Semaphore sem(0);
-  std::atomic<bool> got{false};
-  std::thread t([&] {
-    EXPECT_TRUE(sem.P().ok());
-    got = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(got.load());
-  sem.V();
-  t.join();
-  EXPECT_TRUE(got.load());
-  EXPECT_GE(sem.sleeps(), 1u);
-}
-
-TEST(Semaphore, ProducerConsumer) {
-  Semaphore items(0);
-  Semaphore slots(4);
-  std::atomic<int> consumed{0};
-  constexpr int kN = 5000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_TRUE(slots.P().ok());
-      items.V();
-    }
-  });
-  std::thread consumer([&] {
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_TRUE(items.P().ok());
-      slots.V();
-      ++consumed;
-    }
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(consumed.load(), kN);
 }
 
 TEST(SharedReadLock, ManyConcurrentReaders) {
@@ -286,7 +238,7 @@ TEST(Barrier, RendezvousAndReuse) {
 }
 
 // Context integration: a context-bearing thread releases its simulated CPU
-// while blocked in P().
+// while blocked on a wait channel.
 class RecordingCtx final : public ExecutionContext {
  public:
   void WillBlock() override { ++blocks; }
@@ -295,15 +247,26 @@ class RecordingCtx final : public ExecutionContext {
   int wakes = 0;
 };
 
-TEST(ExecutionContext, SemaphoreReleasesCpuWhileBlocked) {
-  Semaphore sem(0);
+TEST(ExecutionContext, BlockOnReleasesCpuWhileBlocked) {
+  std::mutex m;
+  std::condition_variable cv;
+  bool ready = false;
   RecordingCtx ctx;
   std::thread t([&] {
     ScopedExecutionContext scope(&ctx);
-    ASSERT_TRUE(sem.P().ok());
+    bool slept = false;
+    {
+      std::unique_lock<std::mutex> l(m);
+      ASSERT_TRUE(BlockOn(cv, l, SleepMode::kUninterruptible, &slept, [&] { return ready; }).ok());
+    }
+    FinishSleep(slept);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  sem.V();
+  {
+    std::lock_guard<std::mutex> l(m);
+    ready = true;
+  }
+  cv.notify_all();
   t.join();
   EXPECT_GE(ctx.blocks, 1);
   EXPECT_EQ(ctx.wakes, 1);

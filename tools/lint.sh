@@ -3,7 +3,7 @@
 #
 #   1. sgcheck (tools/sgcheck/): the dependency-free protocol checker. It
 #      owns every rule this script used to grep for (spinlock internals,
-#      ofile_/pregions() privacy, inject-point registry) plus the deep ones
+#      group_fds_/pregions() privacy, inject-point registry) plus the deep ones
 #      (sleep-in-atomic, guard-escape, seqcount-bracket, guarded-fields).
 #      Always runs; builds itself with the system C++ compiler if the build
 #      tree hasn't produced a binary yet.

@@ -80,10 +80,10 @@ void TokenRules(const Program& prog, const Options& opt,
                                ") — only src/sync/ may touch the lock word"});
       }
 
-      if (ofile_scope && t.text == "ofile_") {
+      if (ofile_scope && t.text == "group_fds_") {
         out.push_back(Diag{f.path, t.line, "ofile-private",
-                           "'ofile_' is private to src/core/shaddr.{h,cc} — go "
-                           "through the SharedAddressSpace API"});
+                           "'group_fds_' is private to src/core/shaddr.{h,cc} — go "
+                           "through FdUpdateBracket"});
       }
 
       if (pregions_scope && t.text == "pregions" && i > 0 &&

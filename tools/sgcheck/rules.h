@@ -13,7 +13,7 @@
 //                     a reference, a capability, nor internally synchronized.
 //   spin-internals    Spinlock implementation pokes (flag_.store/exchange)
 //                     outside src/sync/.
-//   ofile-private     SharedAddressSpace's ofile_ touched outside shaddr.
+//   ofile-private     ShaddrBlock's group_fds_ (s_ofile) touched outside shaddr.
 //   pregions-private  .pregions() accessor used outside src/vm/.
 //   inject-registry   SG_INJECT_POINT/FAULT name missing from the registry.
 //   suppression       malformed sgcheck:allow (no reason / unknown rule).

@@ -13,7 +13,7 @@ class BadCitizen {
   }
 
   void TouchShaddr(ShaddrBlock* sh) {
-    sh->ofile_[0] = nullptr;  // VIOLATION: ofile-private
+    sh->group_fds_.Slot(0) = {};  // VIOLATION: ofile-private
   }
 
   int CountRegions(AddressSpace& as) {
